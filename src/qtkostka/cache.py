@@ -57,3 +57,20 @@ def cache_put(root, kind, key, payload):
             os.unlink(tmp)
         raise
     return True
+
+
+def cached(root, kind, key, field, decode, compute):
+    """The value stored under payload[field], or compute() stored there.
+
+    decode turns the stored JSON back into a value, and a computed value is
+    stored as value.to_json().  With root None there is no cache: compute()
+    is returned and nothing is read or written.
+    """
+    if root is None:
+        return compute()
+    payload = cache_get(root, kind, key)
+    if payload is not None:
+        return decode(payload[field])
+    value = compute()
+    cache_put(root, kind, key, {field: value.to_json()})
+    return value

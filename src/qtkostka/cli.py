@@ -12,7 +12,7 @@ import time
 
 import click
 
-from .cache import cache_get, cache_put
+from .cache import cached
 from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V
 from .compositions import (
     all_markings,
@@ -88,17 +88,9 @@ def compute_e(mu_text, rank, basis, fmt):
     """Print the Macdonald element E~_mu."""
     mu = _parse(mu_text)
     n = rank if rank is not None else _default_rank(mu)
-    cdir = _env_cache()
     key = {"mu": format_composition(mu), "rank": n}
-    el = None
-    if cdir:
-        payload = cache_get(cdir, "e_tilde", key)
-        if payload is not None:
-            el = ModuleElement.from_json(payload["element"])
-    if el is None:
-        el = e_tilde(mu, n).element
-        if cdir:
-            cache_put(cdir, "e_tilde", key, {"element": el.to_json()})
+    el = cached(_env_cache(), "e_tilde", key, "element", ModuleElement.from_json,
+                lambda: e_tilde(mu, n).element)
     _emit(from_module(el) if basis == "monomial" else el, fmt)
 
 
@@ -112,17 +104,9 @@ def compute_kl(lam_text, rank, fmt):
     """Print the Kazhdan-Lusztig element over lambda."""
     lam = _parse(lam_text)
     n = rank if rank is not None else _default_rank(lam)
-    cdir = _env_cache()
     key = {"lambda": format_composition(lam), "rank": n}
-    el = None
-    if cdir:
-        payload = cache_get(cdir, "kl", key)
-        if payload is not None:
-            el = ModuleElement.from_json(payload["element"])
-    if el is None:
-        el = kl_element(lam, n).element
-        if cdir:
-            cache_put(cdir, "kl", key, {"element": el.to_json()})
+    el = cached(_env_cache(), "kl", key, "element", ModuleElement.from_json,
+                lambda: kl_element(lam, n).element)
     _emit(el, fmt)
 
 
@@ -139,29 +123,15 @@ def kostka_cmd(lam_text, mu_text, with_marked, fmt):
     mu = _parse(mu_text)
     cdir = _env_cache()
     key = {"lambda": format_composition(lam), "mu": format_composition(mu)}
-    value = None
-    if cdir:
-        payload = cache_get(cdir, "kostka", key)
-        if payload is not None:
-            value = CoeffPoly.from_json(payload["value"])
-    if value is None:
-        value = kostka(lam, mu).value
-        if cdir:
-            cache_put(cdir, "kostka", key, {"value": value.to_json()})
+    value = cached(cdir, "kostka", key, "value", CoeffPoly.from_json,
+                   lambda: kostka(lam, mu).value)
     rows = []
     if with_marked:
         for d in all_markings(mu):
             a_stat, l_stat = marking_stats(d)
             mk = {"lambda": key["lambda"], "marked": format_marked(d)}
-            mval = None
-            if cdir:
-                payload = cache_get(cdir, "marked", mk)
-                if payload is not None:
-                    mval = CoeffPoly.from_json(payload["value"])
-            if mval is None:
-                mval = marked_kostka(lam, d)
-                if cdir:
-                    cache_put(cdir, "marked", mk, {"value": mval.to_json()})
+            mval = cached(cdir, "marked", mk, "value", CoeffPoly.from_json,
+                          lambda: marked_kostka(lam, d))
             rows.append((format_marked(d), a_stat, l_stat, mval))
     if fmt == "json":
         doc = {"format": 1, "lambda": key["lambda"], "mu": key["mu"], "value": value.to_json()}

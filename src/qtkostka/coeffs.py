@@ -326,6 +326,7 @@ class CoeffPoly:
 
 ZERO = CoeffPoly.zero()
 ONE = CoeffPoly.one()
+MINUS_ONE = CoeffPoly.integer(-1)
 V = CoeffPoly.v_power(1)
 VINV = CoeffPoly.v_power(-1)
 V_MINUS_VINV = V - VINV

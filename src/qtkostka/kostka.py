@@ -16,14 +16,16 @@ used as a convergence diagnostic.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
-from .cache import cache_get, cache_put
+from .cache import cached
 from .coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from .compositions import (
     MarkedDiagram,
@@ -406,24 +408,26 @@ def psi_e_polynomial(mu):
     return all(c.is_v_polynomial() and c.is_q_polynomial() for c in el.terms.values())
 
 
-def _marks_string(d):
-    return format_marked(d)
+def _scan_lambda(lam, domain, marked, max_len, cache_dir):
+    """The main-pass results of one lambda, each read from or written to the cache.
 
-
-def _scan_worker(args):
-    lams, domain, marked, max_len = args
-    out = {"values": {}, "marked": {}, "kl": {}}
-    for lam in lams:
-        d = weight(lam)
-        for mu in domain[d]:
-            out["values"][(lam, mu)] = kostka(lam, mu).value.to_json()
-            if marked:
-                for dg in all_markings(mu):
-                    out["marked"][(lam, mu, dg.marked)] = marked_kostka(lam, dg).to_json()
-        n0 = max(partition_length(lam) + d + 1, max_len + 1, 2)
-        el = kl_element(lam, n0).element
-        out["kl"][lam] = {mu: el.coefficient(mu).to_json() for mu in domain[d]}
-    return out
+    Returns the Kostka values keyed (lam, mu), the marked refinements keyed
+    (lam, mu, marks) and the coefficients of the KL element over lambda on
+    the scanned window of mu.  The KL rank covers every mu in the window.
+    """
+    d = weight(lam)
+    values = {}
+    marked_values = {}
+    for mu in domain[d]:
+        values[(lam, mu)] = cached(cache_dir, "kostka", _kostka_key(lam, mu), "value",
+                                   CoeffPoly.from_json, lambda: kostka(lam, mu).value)
+        if marked:
+            for dg in all_markings(mu):
+                marked_values[(lam, mu, dg.marked)] = cached(
+                    cache_dir, "marked", _marked_key(lam, dg), "value",
+                    CoeffPoly.from_json, lambda: marked_kostka(lam, dg))
+    el = kl_element(lam, max(partition_length(lam) + d + 1, max_len + 1, 2)).element
+    return values, marked_values, {mu: el.coefficient(mu) for mu in domain[d]}
 
 
 def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
@@ -434,9 +438,9 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     coefficient positivity, the marked refinements in N[v] with their
     decomposition identity, the Mpart exchange relation, and the q=0
     Kazhdan-Lusztig agreement.  Violations are returned as data, never
-    raised.  A populated cache directory lets reruns skip finished pairs
-    (with jobs > 1 the workers recompute their chunk regardless and the
-    merge prefers cached values).
+    raised.  With a cache directory every value is written as soon as it is
+    computed, so a rerun, also after an interruption, skips finished values.
+    With jobs > 1 the lambdas are spread over that many worker processes.
     """
     t_start = time.perf_counter()
     if max_len is None:
@@ -455,76 +459,22 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     values = {}
     marked_values = {}
     kl_vectors = {}
-    if cache_dir is not None:
-        for lam in all_lams:
-            for mu in domain[weight(lam)]:
-                payload = cache_get(cache_dir, "kostka", _kostka_key(lam, mu))
-                if payload is not None:
-                    values[(lam, mu)] = CoeffPoly.from_json(payload["value"])
-                if marked:
-                    for dg in all_markings(mu):
-                        got = cache_get(cache_dir, "marked", _marked_key(lam, dg))
-                        if got is not None:
-                            marked_values[(lam, mu, dg.marked)] = CoeffPoly.from_json(
-                                got["value"]
-                            )
-
-    def want(lam):
-        d = weight(lam)
-        for mu in domain[d]:
-            if (lam, mu) not in values:
-                return True
-            if marked and any(
-                (lam, mu, dg.marked) not in marked_values for dg in all_markings(mu)
-            ):
-                return True
-        return lam not in kl_vectors
-
-    todo = [lam for lam in all_lams if want(lam)]
-    if jobs > 1 and todo:
-        chunks = [todo[k::jobs] for k in range(jobs)]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_scan_worker, [(c, domain, marked, max_len) for c in chunks]))
-        for res in results:
-            for k, v in res["values"].items():
-                values.setdefault(k, CoeffPoly.from_json(v))
-            for k, v in res["marked"].items():
-                marked_values.setdefault(k, CoeffPoly.from_json(v))
-            for lam, vec in res["kl"].items():
-                kl_vectors[lam] = {mu: CoeffPoly.from_json(c) for mu, c in vec.items()}
-    else:
-        for k, lam in enumerate(todo):
-            d = weight(lam)
-            for mu in domain[d]:
-                if (lam, mu) not in values:
-                    values[(lam, mu)] = kostka(lam, mu).value
-                if marked:
-                    for dg in all_markings(mu):
-                        mk = (lam, mu, dg.marked)
-                        if mk not in marked_values:
-                            marked_values[mk] = marked_kostka(lam, dg)
-            n0 = max(partition_length(lam) + d + 1, max_len + 1, 2)
-            el = kl_element(lam, n0).element
-            kl_vectors[lam] = {mu: el.coefficient(mu) for mu in domain[d]}
-            note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(todo), lam or "()"))
-    # lambdas fully served by the cache still need their KL window
-    for lam in all_lams:
-        if lam not in kl_vectors:
-            d = weight(lam)
-            n0 = max(partition_length(lam) + d + 1, max_len + 1, 2)
-            el = kl_element(lam, n0).element
-            kl_vectors[lam] = {mu: el.coefficient(mu) for mu in domain[d]}
-    if cache_dir is not None:
-        for (lam, mu), val in values.items():
-            cache_put(cache_dir, "kostka", _kostka_key(lam, mu), {"value": val.to_json()})
-        for (lam, mu, marks), val in marked_values.items():
-            cache_put(
-                cache_dir,
-                "marked",
-                _marked_key(lam, MarkedDiagram(mu, marks)),
-                {"value": val.to_json()},
-            )
+    worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
+                               max_len=max_len, cache_dir=cache_dir)
+    pool = None
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
+                                   mp_context=multiprocessing.get_context("spawn"))
+    try:
+        rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
+        for k, (lam, (vals, marks, kl)) in enumerate(zip(all_lams, rows)):
+            values.update(vals)
+            marked_values.update(marks)
+            kl_vectors[lam] = kl
+            note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     timings["kostka"] = round(time.perf_counter() - t0, 3)
 
     # conjecture verdicts
@@ -546,7 +496,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
         for (lam, mu, marks), val in sorted(marked_values.items()):
             if not (val.is_q_free() and val.is_v_polynomial() and val.is_nonneg()):
                 v = _violation("marked_positivity", lam, mu, val)
-                v["marking"] = _marks_string(MarkedDiagram(mu, marks))
+                v["marking"] = format_marked(MarkedDiagram(mu, marks))
                 violations.append(v)
         for (lam, mu), val in sorted(values.items()):
             total = ZERO

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V
+from .coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, VINV, V
 from .compositions import (
     MarkedDiagram,
     all_markings,
@@ -36,8 +36,6 @@ from .polyrep import ZPoly, from_module
 
 _E_CACHE = {}
 _MARKED_CACHE = {}
-
-MINUS_ONE = CoeffPoly.integer(-1)
 
 
 @dataclass(frozen=True)

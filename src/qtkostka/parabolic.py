@@ -25,16 +25,9 @@ reads with exclusive inserts.
 
 from __future__ import annotations
 
-from .coeffs import CoeffPoly, ONE, V, VINV, V_MINUS_VINV
-from .compositions import (
-    canonicalize,
-    lambda_star,
-    length,
-    omega_star,
-    pad,
-    parse_composition,
-    format_composition,
-)
+from .coeffs import ONE, V, VINV, V_MINUS_VINV
+from .compositions import canonicalize, format_composition, lambda_star, omega_star, pad
+from .sparse import SparseVector
 
 _VINV_MINUS_V = -V_MINUS_VINV
 
@@ -54,130 +47,34 @@ def _swap_entry(lam, i):
     return ((1 if a < b else -1), swapped)
 
 
-class ModuleElement:
+def _add_term(acc, key, c):
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
+class ModuleElement(SparseVector):
     """A finite CoeffPoly-combination of standard basis elements at rank n."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
 
-    def __init__(self, rank, terms=None):
-        if rank < 2:
-            raise ValueError("rank must be at least 2")
-        self.rank = rank
-        self.terms = {}
-        if terms:
-            for lam, c in terms.items():
-                if c:
-                    lam = canonicalize(lam)
-                    if len(lam) > rank:
-                        raise ValueError("key %r too long for rank %d" % (lam, rank))
-                    self.terms[lam] = c
-
-    @staticmethod
-    def zero(rank):
-        return ModuleElement(rank)
+    JSON_KEY = "lambda"
 
     @staticmethod
     def basis(lam, rank):
-        lam = canonicalize(lam)
-        if len(lam) > rank:
-            raise ValueError("key %r too long for rank %d" % (lam, rank))
-        out = ModuleElement.__new__(ModuleElement)
-        out.rank = rank
-        out.terms = {lam: ONE}
-        return out
+        return ModuleElement(rank, {lam: ONE})
 
-    def _raw(self, terms):
-        out = ModuleElement.__new__(ModuleElement)
-        out.rank = self.rank
-        out.terms = terms
-        return out
-
-    # -- linear structure -----------------------------------------------------
-
-    def __add__(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = terms.get(lam)
-            s = c if s is None else s + c
-            if s:
-                terms[lam] = s
-            elif lam in terms:
-                del terms[lam]
-        return self._raw(terms)
-
-    def __sub__(self, other):
-        return self + other.scale(CoeffPoly.integer(-1))
-
-    def scale(self, c):
-        if c.is_zero():
-            return ModuleElement(self.rank)
-        return self._raw({lam: x * c for lam, x in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, lam):
-        return self.terms.get(canonicalize(lam), CoeffPoly.zero())
-
-    def support(self):
-        return set(self.terms)
-
-    def degree(self):
-        """Common weight of the support; None for 0, error if inhomogeneous."""
-        degs = {sum(lam) for lam in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element")
-        return degs.pop()
-
-    def bar_coeffs(self):
-        """Apply the coefficient bar involution, leaving basis keys alone."""
-        return self._raw({lam: c.bar() for lam, c in self.terms.items()})
+    def basis_name(self, lam):
+        return "M^{(%s)}" % format_composition(lam)
 
     # -- generator action -------------------------------------------------------
 
     def hi(self, i):
         """Apply the Hecke generator H_i, 1 <= i <= rank-1."""
-        n = self.rank
-        if not 1 <= i <= n - 1:
-            raise ValueError("index %d out of range for rank %d" % (i, n))
-        acc = {}
-
-        def add(lam, c):
-            s = acc.get(lam)
-            s = c if s is None else s + c
-            if s:
-                acc[lam] = s
-            elif lam in acc:
-                del acc[lam]
-
-        memo = _SWAP_MEMO
-        for lam, c in self.terms.items():
-            key = (lam, i)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = _swap_entry(lam, i)
-            case, swapped = hit
-            if case == 0:
-                add(lam, c * VINV)
-            else:
-                add(swapped, c)
-                if case < 0:
-                    add(lam, c * _VINV_MINUS_V)
-        return self._raw(acc)
+        return self._hecke(i, VINV, _VINV_MINUS_V, -1)
 
     def hi_inv(self, i):
         """Apply H_i^{-1} = H_i + (v - v^{-1}).
@@ -185,19 +82,19 @@ class ModuleElement:
         Folded per case: an equal pair picks up v, an ascent keeps the
         (v - v^{-1}) echo, and a descent is a plain swap.
         """
+        return self._hecke(i, V, V_MINUS_VINV, 1)
+
+    def _hecke(self, i, diag, echo, echo_case):
+        """Shared loop of hi and hi_inv.
+
+        An equal pair is scaled by diag; otherwise the key is swapped, and the
+        case sign(lambda_{i+1} - lambda_i) == echo_case also keeps echo times
+        the old key.
+        """
         n = self.rank
         if not 1 <= i <= n - 1:
             raise ValueError("index %d out of range for rank %d" % (i, n))
         acc = {}
-
-        def add(lam, c):
-            s = acc.get(lam)
-            s = c if s is None else s + c
-            if s:
-                acc[lam] = s
-            elif lam in acc:
-                del acc[lam]
-
         memo = _SWAP_MEMO
         for lam, c in self.terms.items():
             key = (lam, i)
@@ -206,11 +103,11 @@ class ModuleElement:
                 hit = memo[key] = _swap_entry(lam, i)
             case, swapped = hit
             if case == 0:
-                add(lam, c * V)
+                _add_term(acc, lam, c * diag)
             else:
-                add(swapped, c)
-                if case > 0:
-                    add(lam, c * V_MINUS_VINV)
+                _add_term(acc, swapped, c)
+                if case == echo_case:
+                    _add_term(acc, lam, c * echo)
         return self._raw(acc)
 
     def omega(self):
@@ -258,66 +155,6 @@ class ModuleElement:
         for j in range(n - 1, i - 1, -1):
             x = x.hi_inv(j)
         return x
-
-    def project(self):
-        """Rank-lowering projection: kill lambda_n > 0, keep the rest at rank n-1.
-
-        Rank 2 is the floor.
-        """
-        n = self.rank
-        if n < 3:
-            raise ValueError("cannot project below rank 2")
-        out = ModuleElement.__new__(ModuleElement)
-        out.rank = n - 1
-        out.terms = {lam: c for lam, c in self.terms.items() if len(lam) < n}
-        return out
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "terms": [
-                {"lambda": format_composition(lam), "coef": c.to_json()}
-                for lam, c in sorted(self.terms.items())
-            ],
-        }
-
-    @staticmethod
-    def from_json(data):
-        return ModuleElement(
-            data["rank"],
-            {
-                parse_composition(t["lambda"]): CoeffPoly.from_json(t["coef"])
-                for t in data["terms"]
-            },
-        )
-
-    def pretty(self):
-        if not self.terms:
-            return "0"
-        use_t = all(
-            a % 2 == 0 for c in self.terms.values() for (a, _) in c.terms
-        )
-        chunks = []
-        for lam, c in sorted(
-            self.terms.items(), key=lambda kv: pad(kv[0], self.rank), reverse=True
-        ):
-            name = "M^{(%s)}" % format_composition(lam)
-            if lam == ():
-                body = c.pretty(use_t)
-            elif c == ONE:
-                body = name
-            else:
-                cs = c.pretty(use_t)
-                if len(c.terms) > 1 or cs.startswith("-"):
-                    cs = "(%s)" % cs
-                body = "%s*%s" % (cs, name)
-            chunks.append(body)
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return "ModuleElement(rank=%d, %s)" % (self.rank, self.pretty())
 
 
 # -- monomial images under the standard embedding --------------------------------

@@ -17,31 +17,17 @@ from __future__ import annotations
 
 from .coeffs import CoeffPoly, ONE, VINV, V_MINUS_VINV
 from .bruhat import min_rep_length
-from .compositions import canonicalize, format_composition, pad, parse_composition, sorting_data
+from .compositions import canonicalize, pad, sorting_data
 from .parabolic import ModuleElement, psi_monomial
+from .sparse import SparseVector
 
 
-class ZPoly:
+class ZPoly(SparseVector):
     """Polynomial in z_1..z_n with CoeffPoly coefficients."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
 
-    def __init__(self, rank, terms=None):
-        if rank < 2:
-            raise ValueError("rank must be at least 2")
-        self.rank = rank
-        self.terms = {}
-        if terms:
-            for tau, c in terms.items():
-                if c:
-                    tau = canonicalize(tau)
-                    if len(tau) > rank:
-                        raise ValueError("exponent %r too long for rank %d" % (tau, rank))
-                    self.terms[tau] = c
-
-    @staticmethod
-    def zero(rank):
-        return ZPoly(rank)
+    JSON_KEY = "z"
 
     @staticmethod
     def one(rank):
@@ -51,52 +37,15 @@ class ZPoly:
     def monomial(tau, rank, coeff=ONE):
         return ZPoly(rank, {tuple(tau): coeff})
 
-    def _raw(self, terms):
-        out = ZPoly.__new__(ZPoly)
-        out.rank = self.rank
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for tau, c in other.terms.items():
-            s = terms.get(tau)
-            s = c if s is None else s + c
-            if s:
-                terms[tau] = s
-            elif tau in terms:
-                del terms[tau]
-        return self._raw(terms)
-
-    def __sub__(self, other):
-        return self + other.scale(CoeffPoly.integer(-1))
-
-    def scale(self, c):
-        if c.is_zero():
-            return ZPoly(self.rank)
-        return self._raw({tau: x * c for tau, x in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZPoly)
-            and self.rank == other.rank
-            and self.terms == other.terms
+    def basis_name(self, tau):
+        return "*".join(
+            "z_%d" % (k + 1) if e == 1 else "z_%d^%d" % (k + 1, e)
+            for k, e in enumerate(tau)
+            if e
         )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, tau):
-        return self.terms.get(canonicalize(tau), CoeffPoly.zero())
 
     def swap_vars(self, i):
         """Exchange z_i and z_{i+1}."""
-        n = self.rank
         acc = {}
         for tau, c in self.terms.items():
             p = pad(tau, max(len(tau), i + 1))
@@ -138,65 +87,6 @@ class ZPoly:
             p = pad(tau, n)
             acc[canonicalize((p[n - 1],) + p[: n - 1])] = c.shift(q_exp=p[n - 1])
         return self._raw(acc)
-
-    def project(self):
-        """Kill monomials with a positive last exponent; lower the rank."""
-        n = self.rank
-        if n < 3:
-            raise ValueError("cannot project below rank 2")
-        out = ZPoly.__new__(ZPoly)
-        out.rank = n - 1
-        out.terms = {tau: c for tau, c in self.terms.items() if len(tau) < n}
-        return out
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "terms": [
-                {"z": format_composition(tau), "coef": c.to_json()}
-                for tau, c in sorted(self.terms.items())
-            ],
-        }
-
-    @staticmethod
-    def from_json(data):
-        return ZPoly(
-            data["rank"],
-            {
-                parse_composition(t["z"]): CoeffPoly.from_json(t["coef"])
-                for t in data["terms"]
-            },
-        )
-
-    def pretty(self):
-        if not self.terms:
-            return "0"
-        use_t = all(
-            a % 2 == 0 for c in self.terms.values() for (a, _) in c.terms
-        )
-        chunks = []
-        for tau, c in sorted(
-            self.terms.items(), key=lambda kv: pad(kv[0], self.rank), reverse=True
-        ):
-            zs = "*".join(
-                "z_%d" % (k + 1) if e == 1 else "z_%d^%d" % (k + 1, e)
-                for k, e in enumerate(tau)
-                if e
-            )
-            if not zs:
-                chunks.append(c.pretty(use_t))
-                continue
-            if c == ONE:
-                chunks.append(zs)
-            else:
-                cs = c.pretty(use_t)
-                if len(c.terms) > 1 or cs.startswith("-"):
-                    cs = "(%s)" % cs
-                chunks.append("%s*%s" % (cs, zs))
-        return " + ".join(chunks)
-
-    def __repr__(self):
-        return "ZPoly(rank=%d, %s)" % (self.rank, self.pretty())
 
 
 def _div_by_zi_minus_zj(terms, i, n):

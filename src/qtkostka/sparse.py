@@ -1,0 +1,150 @@
+"""Sparse vectors with CoeffPoly coefficients over composition-keyed bases.
+
+The linear algebra shared by the parabolic module (basis M^lambda) and the
+polynomial representation (monomials z^tau): keys are trimmed composition
+tuples of length at most the rank, and zero coefficients are never stored.
+Subclasses name their JSON key and how a basis element prints.
+"""
+
+from __future__ import annotations
+
+from .coeffs import CoeffPoly, MINUS_ONE, ONE
+from .compositions import canonicalize, format_composition, pad, parse_composition
+
+
+class SparseVector:
+    """A finite CoeffPoly-combination of basis elements at rank n."""
+
+    __slots__ = ("rank", "terms")
+
+    JSON_KEY = None  # name of the key field in to_json
+
+    def __init__(self, rank, terms=None):
+        if rank < 2:
+            raise ValueError("rank must be at least 2")
+        self.rank = rank
+        self.terms = {}
+        if terms:
+            for key, c in terms.items():
+                if c:
+                    key = canonicalize(key)
+                    if len(key) > rank:
+                        raise ValueError("key %r too long for rank %d" % (key, rank))
+                    self.terms[key] = c
+
+    @classmethod
+    def zero(cls, rank):
+        return cls(rank)
+
+    def _raw(self, terms):
+        """An instance of the same class and rank over terms, taken without checks."""
+        cls = type(self)
+        out = cls.__new__(cls)
+        out.rank = self.rank
+        out.terms = terms
+        return out
+
+    # -- linear structure -------------------------------------------------------
+
+    def __add__(self, other):
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            s = terms.get(key)
+            s = c if s is None else s + c
+            if s:
+                terms[key] = s
+            elif key in terms:
+                del terms[key]
+        return self._raw(terms)
+
+    def __sub__(self, other):
+        return self + other.scale(MINUS_ONE)
+
+    def scale(self, c):
+        if c.is_zero():
+            return self.zero(self.rank)
+        return self._raw({key: x * c for key, x in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, key):
+        return self.terms.get(canonicalize(key), CoeffPoly.zero())
+
+    def support(self):
+        return set(self.terms)
+
+    def project(self):
+        """Rank-lowering projection: kill keys with a positive n-th entry.
+
+        Rank 2 is the floor.
+        """
+        n = self.rank
+        if n < 3:
+            raise ValueError("cannot project below rank 2")
+        out = self._raw({key: c for key, c in self.terms.items() if len(key) < n})
+        out.rank = n - 1
+        return out
+
+    # -- serialization ----------------------------------------------------------
+
+    def to_json(self):
+        return {
+            "rank": self.rank,
+            "terms": [
+                {self.JSON_KEY: format_composition(key), "coef": c.to_json()}
+                for key, c in sorted(self.terms.items())
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(
+            data["rank"],
+            {
+                parse_composition(t[cls.JSON_KEY]): CoeffPoly.from_json(t["coef"])
+                for t in data["terms"]
+            },
+        )
+
+    def basis_name(self, key):
+        """The printed name of the basis element over a nonempty key."""
+        raise NotImplementedError
+
+    def pretty(self):
+        if not self.terms:
+            return "0"
+        use_t = all(
+            a % 2 == 0 for c in self.terms.values() for (a, _) in c.terms
+        )
+        chunks = []
+        for key, c in sorted(
+            self.terms.items(), key=lambda kv: pad(kv[0], self.rank), reverse=True
+        ):
+            if not key:
+                chunks.append(c.pretty(use_t))
+                continue
+            name = self.basis_name(key)
+            if c == ONE:
+                chunks.append(name)
+            else:
+                cs = c.pretty(use_t)
+                if len(c.terms) > 1 or cs.startswith("-"):
+                    cs = "(%s)" % cs
+                chunks.append("%s*%s" % (cs, name))
+        return " + ".join(chunks)
+
+    def __repr__(self):
+        return "%s(rank=%d, %s)" % (type(self).__name__, self.rank, self.pretty())

@@ -1,8 +1,13 @@
 """Tests for the stable pairing, Kostka values, markings, oracles and the scanner."""
 
 import json
+import os
+import re
+import sys
 
 import pytest
+
+import qtkostka
 
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
 from qtkostka.compositions import (
@@ -205,6 +210,89 @@ def test_scan_cache_resume(tmp_path):
     second = scan(2, cache_dir=str(cache))
     assert first["pairs"] == second["pairs"] == 14
     assert second["violations"] == []
+
+
+def _scan_outputs(tmp_path, name, **kwargs):
+    """A scan into a fresh cache: report without timings, CSV bytes, cache entries."""
+    cache = tmp_path / name
+    csv_path = tmp_path / (name + ".csv")
+    rep = scan(3, cache_dir=str(cache), csv_path=str(csv_path), **kwargs)
+    rep.pop("timings")
+    return rep, csv_path.read_bytes(), _cache_entries(cache)
+
+
+def _cache_entries(cache):
+    entries = []
+    for dirpath, _, files in os.walk(cache):
+        for name in files:
+            with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                data = json.load(fh)
+            entries.append((data["kind"], data["key"], data["payload"]))
+    return sorted(entries, key=lambda e: json.dumps(e, sort_keys=True))
+
+
+def test_scan_jobs_agree(tmp_path):
+    serial = _scan_outputs(tmp_path, "serial", jobs=1)
+    parallel = _scan_outputs(tmp_path, "parallel", jobs=2)
+    assert serial[0]["violations"] == []
+    assert len(serial[2]) > serial[0]["pairs"]
+    assert parallel == serial
+
+
+def test_scan_interrupted_keeps_finished_work(tmp_path):
+    cache = tmp_path / "cache"
+
+    class Interrupt(Exception):
+        pass
+
+    def stop(msg):
+        if "lambdas done" in msg:
+            raise Interrupt(msg)
+
+    with pytest.raises(Interrupt):
+        scan(2, cache_dir=str(cache), progress=stop)
+    # the first lambda is the empty composition; all its values are on disk
+    kept = {(kind, json.dumps(key, sort_keys=True)) for kind, key, _ in _cache_entries(cache)}
+    want = {("kostka", json.dumps({"lambda": "", "mu": ""}, sort_keys=True))}
+    want |= {
+        ("marked", json.dumps({"lambda": "", "marked": format_marked(d)}, sort_keys=True))
+        for d in all_markings(())
+    }
+    assert kept == want
+
+    resumed_csv = tmp_path / "resumed.csv"
+    resumed = scan(2, cache_dir=str(cache), csv_path=str(resumed_csv))
+    whole_csv = tmp_path / "whole.csv"
+    whole = scan(2, csv_path=str(whole_csv))
+    resumed.pop("timings")
+    whole.pop("timings")
+    assert resumed == whole
+    assert resumed_csv.read_bytes() == whole_csv.read_bytes()
+
+
+def _memo_sizes():
+    """Size of every module-level memo in qtkostka.*, by qualified name."""
+    sizes = {}
+    for modname, mod in list(sys.modules.items()):
+        if not modname.startswith("qtkostka."):
+            continue
+        for attr, value in vars(mod).items():
+            if re.fullmatch(r"_\w+_(CACHE|MEMO)", attr) and isinstance(value, dict):
+                sizes["%s.%s" % (modname, attr)] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes["%s.%s" % (modname, attr)] = value.cache_info().currsize
+    return sizes
+
+
+def test_clear_caches_empties_every_memo():
+    kostka((2, 1), (1, 2))
+    scan(2)
+    before = _memo_sizes()
+    assert sum(before.values()) > 0
+    qtkostka.clear_caches()
+    after = _memo_sizes()
+    assert set(after) == set(before)
+    assert {name: size for name, size in after.items() if size} == {}
 
 
 def test_scan_length_bound():

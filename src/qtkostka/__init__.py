@@ -71,6 +71,7 @@ from .kostka import (
 )
 from .cache import cache_digest, cache_get, cache_path, cache_put
 
+from .coeffs import clear_caches as _clear_coeffs
 from .compositions import c_word as _c_word
 from .kl import clear_caches as _clear_kl
 from .kostka import clear_caches as _clear_kostka
@@ -86,6 +87,7 @@ def clear_caches():
     _clear_kl()
     _clear_macdonald()
     _clear_parabolic()
+    _clear_coeffs()
     min_rep_length.cache_clear()
     sorting_data.cache_clear()
     _c_word.cache_clear()

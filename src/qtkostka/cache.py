@@ -45,9 +45,14 @@ def cache_put(root, kind, key, payload):
     path = cache_path(root, kind, key)
     if os.path.exists(path):
         return False
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     data = {"format": FORMAT, "kind": kind, "key": key, "payload": payload}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    shard = os.path.dirname(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+    except FileNotFoundError:
+        # the shard directory is made once, on its first entry
+        os.makedirs(shard, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(data, fh, sort_keys=True, separators=(",", ":"))

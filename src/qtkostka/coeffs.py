@@ -23,6 +23,14 @@ class ConsistencyError(RuntimeError):
     """A certified identity failed; the computed object cannot be trusted."""
 
 
+# partition -> b_partition(partition)
+_B_MEMO = {}
+
+
+def clear_caches():
+    _B_MEMO.clear()
+
+
 class CoeffPoly:
     """Sparse Laurent polynomial in v and q with int coefficients."""
 
@@ -260,8 +268,12 @@ class CoeffPoly:
     def b_partition(pi):
         """b_pi(t) = prod_{a>=1} phi_{m_a}(t) over part multiplicities of pi.
 
-        pi must be weakly decreasing.
+        pi must be weakly decreasing.  Memoized by pi.
         """
+        pi = tuple(pi)
+        hit = _B_MEMO.get(pi)
+        if hit is not None:
+            return hit
         if any(pi[i] < pi[i + 1] for i in range(len(pi) - 1)):
             raise ValueError("b is defined for partitions only")
         mult = {}
@@ -271,6 +283,7 @@ class CoeffPoly:
         result = CoeffPoly.one()
         for m in mult.values():
             result = result * CoeffPoly.phi(m)
+        _B_MEMO[pi] = result
         return result
 
     # -- serialization ---------------------------------------------------------

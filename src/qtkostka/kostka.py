@@ -20,12 +20,13 @@ import functools
 import itertools
 import json
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
-from .cache import cached
+from .cache import cache_path, cached
 from .coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from .compositions import (
     MarkedDiagram,
@@ -462,7 +463,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
                                max_len=max_len, cache_dir=cache_dir)
     pool = None
-    if jobs > 1:
+    if jobs > 1 and not _all_cached(all_lams, domain, marked, cache_dir):
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
@@ -571,6 +572,26 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
                     ]
                 )
     return report
+
+
+def _all_cached(lams, domain, marked, cache_dir):
+    """Whether cache_dir holds an entry for every main-pass value of lams.
+
+    Then the main pass only reads the cache and solves the KL windows, and
+    starting worker processes would cost more than it saves.
+    """
+    if cache_dir is None:
+        return False
+    for lam in lams:
+        for mu in domain[weight(lam)]:
+            if not os.path.exists(cache_path(cache_dir, "kostka", _kostka_key(lam, mu))):
+                return False
+            if marked and not all(
+                os.path.exists(cache_path(cache_dir, "marked", _marked_key(lam, dg)))
+                for dg in all_markings(mu)
+            ):
+                return False
+    return True
 
 
 def _kostka_key(lam, mu):

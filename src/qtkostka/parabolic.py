@@ -17,16 +17,27 @@ right to left (rightmost factor first).
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
-over the column word of lambda; rows are cached per (rank, lambda) and built
-incrementally along the star chain, one Phibar application per new row.
+over the column word of lambda.  Its rows are q-free, so they are built once
+per (rank, lambda) as Kronecker-packed ints (packed.py), stored barred, by
+one builder, packed_row; d_basis decodes them into ModuleElements.  The
+exactness argument, a window for the exponents and a bound for the
+coefficients, is spelled out at packed_row and _row_hi_inv.
 Caches are plain dicts (atomic get/insert under the GIL): safe for concurrent
 reads with exclusive inserts.
 """
 
 from __future__ import annotations
 
+from . import packed
 from .coeffs import ONE, V, VINV, V_MINUS_VINV
-from .compositions import canonicalize, format_composition, lambda_star, omega_star, pad
+from .compositions import (
+    canonicalize,
+    format_composition,
+    lambda_star,
+    omega_star,
+    pad,
+    weight,
+)
 from .sparse import SparseVector
 
 _VINV_MINUS_V = -V_MINUS_VINV
@@ -183,26 +194,93 @@ def psi_monomial(lam, n):
 
 # -- the bar involution -----------------------------------------------------------
 
+# (rank, lambda) -> PackedRow
 _D_CACHE = {}
 
 
-def _d_basis_word(lam, n):
-    """d(M^lambda) straight from the Phibar word over the column word."""
-    if not lam:
-        return ModuleElement.basis((), n)
-    star, m, _ = lambda_star(lam)
-    return d_basis(star, n).phibar_op(m)
+class PackedRow:
+    """The row d(M^lambda), barred and packed (see packed.py).
+
+    terms maps nu to bar(r_nu) packed at offset |lambda|(n-1), where
+    d(M^lambda) = sum_nu r_nu M^nu; bound is a proven bound on every
+    coefficient of every entry, kept below 2^(WIDTH-1).  Storing the bar lets
+    a KL coefficient p in Z[v] multiply an entry with no change of offset.
+    """
+
+    __slots__ = ("terms", "bound")
+
+    def __init__(self, terms, bound):
+        self.terms = terms
+        self.bound = bound
 
 
-def d_basis(lam, n):
-    """d(M^lambda), cached per (rank, lambda).
+def _row_hi_inv(row, i):
+    """H_i^{-1} on a packed row, in barred form.
+
+    hi_inv scales an equal pair by v, swaps a descent, and swaps an ascent
+    keeping (v - v^{-1}) times the old key; barred, the factors become v^{-1}
+    and v^{-1} - v.  A coefficient of the image is at most three of the
+    input, so the bound triples; before it would pass packed.row_limit(),
+    the input's bound is tightened to its exact maximum (a decode, valid
+    because the old bound fits).  Each v^{-1} goes through packed.shift_down,
+    whose dropped digit is the image's digit just below the window: no other
+    contribution reaches that far down.
+    """
+    if 3 * row.bound > packed.row_limit():
+        row.bound = max(packed.max_coeff(x) for x in row.terms.values())
+        packed.check_bound(3 * row.bound, "involution row")
+    k = packed.WIDTH
+    shift_down = packed.shift_down
+    acc = {}
+    memo = _SWAP_MEMO
+    for lam, x in row.terms.items():
+        key = (lam, i)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _swap_entry(lam, i)
+        case, swapped = hit
+        if case == 0:
+            acc[lam] = acc.get(lam, 0) + shift_down(x)
+        else:
+            acc[swapped] = acc.get(swapped, 0) + x
+            if case == 1:
+                acc[lam] = acc.get(lam, 0) + shift_down(x) - (x << k)
+    return PackedRow({nu: x for nu, x in acc.items() if x}, 3 * row.bound)
+
+
+def _row_phibar(row, m, n):
+    """Phibar_m = H_m^{-1} ... H_{n-1}^{-1} omega on a packed row.
+
+    The input row has weight one less, so its offset is n - 1 lower: it is
+    lifted into the window of the image before omega relabels its keys.
+    """
+    lift = packed.WIDTH * (n - 1)
+    memo = _OMEGA_MEMO
+    terms = {}
+    for lam, x in row.terms.items():
+        key = (lam, n)
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = omega_star(lam, n)
+        terms[img] = x << lift
+    out = PackedRow(terms, row.bound)
+    for i in range(n - 1, m - 1, -1):
+        out = _row_hi_inv(out, i)
+    return out
+
+
+def packed_row(lam, n):
+    """The packed, barred row of d(M^lambda), built once per (rank, lambda).
 
     For an ascent kappa_i < kappa_{i+1} the standard basis transforms without
     echo, M^{s_i kappa} = H_i M^kappa, so by semilinearity the row of s_i kappa
     is H_i^{-1} applied to the row of kappa.  Rows therefore propagate by
     single inverse generators from the weakly increasing arrangement of the
     entries, which is the only key still built from its Phibar column word.
-    The word route survives as _d_basis_word so tests can cross-check the two.
+    Window: every exponent of a finished row lies in [-|lambda|(n-1),
+    |lambda|(n-1)] (packed.offset), so no shift_down on the way can fire on
+    a correct row.  Bound: tripled per inverse generator, tightened by an
+    exact decode before it would pass packed.row_limit() (_row_hi_inv).
     """
     lam = canonicalize(lam)
     if len(lam) > n:
@@ -217,20 +295,47 @@ def d_basis(lam, n):
         if (n, cur) in _D_CACHE:
             stack.pop()
             continue
+        if not cur:
+            _D_CACHE[(n, cur)] = PackedRow({(): packed.encode(ONE, 0)}, 1)
+            stack.pop()
+            continue
         p = pad(cur, n)
         i = next((k + 1 for k in range(n - 1) if p[k] > p[k + 1]), None)
         if i is None:
-            _D_CACHE[(n, cur)] = _d_basis_word(cur, n)
-            stack.pop()
-            continue
-        prev = canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
+            prev, m, _ = lambda_star(cur)
+        else:
+            prev = canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
         prow = _D_CACHE.get((n, prev))
         if prow is None:
             stack.append(prev)
             continue
-        _D_CACHE[(n, cur)] = prow.hi_inv(i)
+        if i is None:
+            _D_CACHE[(n, cur)] = _row_phibar(prow, m, n)
+        else:
+            _D_CACHE[(n, cur)] = _row_hi_inv(prow, i)
         stack.pop()
     return _D_CACHE[key]
+
+
+def _d_basis_word(lam, n):
+    """d(M^lambda) straight from the Phibar word over the column word.
+
+    The last Phibar runs on ModuleElement; tests compare it with d_basis.
+    """
+    if not lam:
+        return ModuleElement.basis((), n)
+    star, m, _ = lambda_star(lam)
+    return d_basis(star, n).phibar_op(m)
+
+
+def d_basis(lam, n):
+    """d(M^lambda), decoded from its packed row."""
+    lam = canonicalize(lam)
+    row = packed_row(lam, n)
+    off = packed.offset(weight(lam), n)
+    return ModuleElement.zero(n)._raw(
+        {nu: packed.decode(x, off).bar() for nu, x in row.terms.items()}
+    )
 
 
 def bar_d(x):

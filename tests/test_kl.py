@@ -2,12 +2,14 @@
 
 import pytest
 
+import qtkostka
+from qtkostka import kl as kl_module, packed
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from qtkostka.bruhat import preceq
 from qtkostka.compositions import compositions_of, partition_length
 from qtkostka.kl import kl_element, skew_positive_part
 from qtkostka.kostka import msym_expand
-from qtkostka.parabolic import ModuleElement, bar_d
+from qtkostka.parabolic import ModuleElement, bar_d, packed_row
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -96,3 +98,67 @@ def test_partition_bottom_is_plain():
     el = kl_element((2, 1), 4).element
     for c in el.terms.values():
         assert c.is_q_free()
+
+
+@pytest.fixture
+def cold():
+    """Every memo cleared before and after, so corrupted rows do not leak."""
+    qtkostka.clear_caches()
+    yield
+    qtkostka.clear_caches()
+
+
+def test_narrowed_packing_width_trips_the_guard(cold, monkeypatch):
+    # the solve stops at the first node whose running bound does not fit,
+    # before decoding it, not only at the final recheck
+    monkeypatch.setattr(packed, "WIDTH", 8)
+    with pytest.raises(ConsistencyError, match=r"KL solve of .* 8-bit packing width"):
+        kl_element((3, 1), 6)
+
+
+def _corrupt_each_row_entry(lam, n):
+    """Yield once per off-diagonal entry of every row in the solve's support.
+
+    During each yield that entry carries an extra +1 at v^0; the KL memo is
+    cleared, so the next kl_element call solves again over the corrupted row.
+    """
+    el = kl_element(lam, n).element
+    off = packed.offset(sum(lam), n)
+    for mu in sorted(el.terms):
+        row = packed_row(mu, n)
+        for nu in sorted(row.terms):
+            if nu == mu:
+                continue
+            saved = row.terms[nu]
+            row.terms[nu] = saved + (1 << (packed.WIDTH * off))
+            kl_module.clear_caches()
+            try:
+                yield mu, nu
+            finally:
+                row.terms[nu] = saved
+    kl_module.clear_caches()
+    assert kl_element(lam, n).element == el
+
+
+CAUGHT = "not strictly triangular|not bar-skew|not self-dual"
+
+
+def test_corrupted_row_entry_is_caught(cold):
+    count = 0
+    for mu, nu in _corrupt_each_row_entry((2, 1), 4):
+        with pytest.raises(ConsistencyError, match=CAUGHT):
+            kl_element((2, 1), 4)
+        count += 1
+    assert count > 5
+
+
+def test_self_duality_recheck_catches_what_the_skew_check_would(cold, monkeypatch):
+    # with the per-node skew certificate switched off, the from-scratch
+    # self-duality recheck alone still rejects every corrupted row entry
+    def positive_part(g):
+        return CoeffPoly({e: c for e, c in g.terms.items() if e[0] > 0})
+
+    monkeypatch.setattr(kl_module, "skew_positive_part", positive_part)
+    for mu, nu in _corrupt_each_row_entry((2, 1), 4):
+        with pytest.raises(ConsistencyError, match="not self-dual"):
+            kl_element((2, 1), 4)

@@ -239,6 +239,21 @@ def test_scan_jobs_agree(tmp_path):
     assert parallel == serial
 
 
+def test_scan_fully_cached_starts_no_pool(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    first = scan(2, cache_dir=str(cache))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for a fully cached scan")
+
+    # the package's kostka attribute is the function; patch the module
+    monkeypatch.setattr(sys.modules["qtkostka.kostka"], "ProcessPoolExecutor", no_pool)
+    again = scan(2, cache_dir=str(cache), jobs=2)
+    first.pop("timings")
+    again.pop("timings")
+    assert again == first
+
+
 def test_scan_interrupted_keeps_finished_work(tmp_path):
     cache = tmp_path / "cache"
 

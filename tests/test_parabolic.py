@@ -122,9 +122,9 @@ def test_d_basis_examples():
 
 def test_d_basis_agrees_with_word_route():
     # ascent propagation and the full operator word must give the same rows
-    for d in range(4):
-        for lam in compositions_of(d, 3):
-            for n in (3, 4):
+    for n in (3, 4, 5, 6):
+        for d in range(5):
+            for lam in compositions_of(d, n):
                 assert d_basis(lam, n) == _d_basis_word(lam, n), (lam, n)
 
 

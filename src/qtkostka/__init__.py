@@ -20,7 +20,6 @@ from .compositions import (
     format_composition,
     format_marked,
     leg,
-    length,
     marking_stats,
     pad,
     parse_composition,
@@ -70,24 +69,6 @@ from .kostka import (
     schur_z,
 )
 from .cache import cache_digest, cache_get, cache_path, cache_put
-
-from .coeffs import clear_caches as _clear_coeffs
-from .compositions import c_word as _c_word
-from .kl import clear_caches as _clear_kl
-from .kostka import clear_caches as _clear_kostka
-from .macdonald import clear_caches as _clear_macdonald
-from .parabolic import clear_caches as _clear_parabolic
+from .memo import clear_caches
 
 __version__ = "0.1.0"
-
-
-def clear_caches():
-    """Drop every memoized object; used before timed or cold-start runs."""
-    _clear_kostka()
-    _clear_kl()
-    _clear_macdonald()
-    _clear_parabolic()
-    _clear_coeffs()
-    min_rep_length.cache_clear()
-    sorting_data.cache_clear()
-    _c_word.cache_clear()

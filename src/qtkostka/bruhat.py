@@ -9,9 +9,8 @@ fundamental alcove; the stable order on compositions is preceq.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .compositions import canonicalize, pad, sorting_data
+from .memo import memoized
 
 
 def eval_root(i, tau):
@@ -88,7 +87,7 @@ def preceq(lam, mu):
     )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def min_rep_length(lam, n):
     """Length of the minimal coset representative attached to -lambda.
 

@@ -10,6 +10,8 @@ as immutable; no method mutates self.
 
 from __future__ import annotations
 
+from .memo import memoized
+
 
 class NonExactDivision(ArithmeticError):
     """Raised when exact_div is asked for a division with remainder.
@@ -21,14 +23,6 @@ class NonExactDivision(ArithmeticError):
 
 class ConsistencyError(RuntimeError):
     """A certified identity failed; the computed object cannot be trusted."""
-
-
-# partition -> b_partition(partition)
-_B_MEMO = {}
-
-
-def clear_caches():
-    _B_MEMO.clear()
 
 
 class CoeffPoly:
@@ -265,15 +259,12 @@ class CoeffPoly:
         return result
 
     @staticmethod
+    @memoized
     def b_partition(pi):
         """b_pi(t) = prod_{a>=1} phi_{m_a}(t) over part multiplicities of pi.
 
-        pi must be weakly decreasing.  Memoized by pi.
+        pi must be a weakly decreasing tuple.  Memoized by pi.
         """
-        pi = tuple(pi)
-        hit = _B_MEMO.get(pi)
-        if hit is not None:
-            return hit
         if any(pi[i] < pi[i + 1] for i in range(len(pi) - 1)):
             raise ValueError("b is defined for partitions only")
         mult = {}
@@ -283,7 +274,6 @@ class CoeffPoly:
         result = CoeffPoly.one()
         for m in mult.values():
             result = result * CoeffPoly.phi(m)
-        _B_MEMO[pi] = result
         return result
 
     # -- serialization ---------------------------------------------------------

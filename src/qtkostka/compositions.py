@@ -9,7 +9,8 @@ stored tuples is padding-invariant equality.  Boxes of the diagram are pairs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+
+from .memo import memoized
 
 
 def canonicalize(raw):
@@ -25,11 +26,6 @@ def canonicalize(raw):
 
 def weight(lam):
     return sum(lam)
-
-
-def length(lam):
-    """l(lambda): index of the last nonzero part (0 for the empty composition)."""
-    return len(lam)
 
 
 def partition_length(lam):
@@ -60,7 +56,7 @@ class SortData:
     lam_plus: tuple
 
 
-@lru_cache(maxsize=None)
+@memoized
 def sorting_data(lam, n):
     """w^lambda, its length, and the decreasing sort lambda^+ at rank n.
 
@@ -131,7 +127,7 @@ def box_enumeration(lam):
     return out, tuple(cols)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def c_word(lam):
     """The column-length word of the box enumeration.
 

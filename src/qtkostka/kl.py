@@ -39,9 +39,8 @@ from . import packed
 from .bruhat import min_rep_length
 from .coeffs import CoeffPoly, ConsistencyError, ONE
 from .compositions import canonicalize, weight
+from .memo import memoized
 from .parabolic import ModuleElement, packed_row
-
-_KL_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class KLElement:
     lam: tuple
     rank: int
     element: ModuleElement
-
-
-def clear_caches():
-    _KL_CACHE.clear()
 
 
 def skew_positive_part(g):
@@ -74,11 +69,11 @@ def kl_element(lam, n):
     lam = canonicalize(lam)
     if n < 2 or n < len(lam):
         raise ValueError("rank %d too small for %r" % (n, lam))
-    key = (n, lam)
-    hit = _KL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _kl_solve(lam, n)
 
+
+@memoized
+def _kl_solve(lam, n):
     # support closure under the involution rows
     off = packed.offset(weight(lam), n)
     one = packed.encode(ONE, off)
@@ -151,6 +146,4 @@ def kl_element(lam, n):
     want = {mu: packed.encode(c.bar(), off) for mu, c in el.terms.items()}
     if {nu: x for nu, x in image.items() if x} != want:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
-    result = KLElement(lam, n, el)
-    _KL_CACHE[key] = result
-    return result
+    return KLElement(lam, n, el)

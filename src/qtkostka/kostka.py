@@ -19,10 +19,8 @@ import csv
 import functools
 import itertools
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -35,7 +33,6 @@ from .compositions import (
     compositions_of,
     format_composition,
     format_marked,
-    length,
     marking_stats,
     pad,
     partition_length,
@@ -44,11 +41,9 @@ from .compositions import (
 )
 from .kl import kl_element
 from .macdonald import e_tilde, marked_e
+from .memo import memoized
 from .parabolic import ModuleElement
 from .polyrep import to_module
-
-_EXP_CACHE = {}
-_KOSTKA_CACHE = {}
 
 
 class MSymmetryViolation(ConsistencyError):
@@ -71,11 +66,6 @@ class KostkaResult:
     rank: int
     is_polynomial_in_v: bool
     is_nonneg: bool
-
-
-def clear_caches():
-    _EXP_CACHE.clear()
-    _KOSTKA_CACHE.clear()
 
 
 # -- m-symmetric expansions --------------------------------------------------
@@ -175,51 +165,41 @@ def pair_truncated(x, y):
 # -- Kostka functions ---------------------------------------------------------
 
 
+@memoized
 def _kl_expansion(lam, m, n):
-    key = ("kl", lam, m, n)
-    hit = _EXP_CACHE.get(key)
-    if hit is None:
-        hit = msym_expand(kl_element(lam, n).element, m)
-        _EXP_CACHE[key] = hit
-    return hit
+    return msym_expand(kl_element(lam, n).element, m)
 
 
+@memoized
 def _e_expansion(mu, m, n):
-    key = ("e", mu, m, n)
-    hit = _EXP_CACHE.get(key)
-    if hit is None:
-        hit = msym_expand(e_tilde(mu, n).element, m)
-        _EXP_CACHE[key] = hit
-    return hit
+    return msym_expand(e_tilde(mu, n).element, m)
 
 
+@memoized
 def _marked_expansion(d, m, n):
-    key = ("marked", d.shape, d.marked, m, n)
-    hit = _EXP_CACHE.get(key)
-    if hit is None:
-        hit = msym_expand(marked_e(d, n), m)
-        _EXP_CACHE[key] = hit
-    return hit
+    return msym_expand(marked_e(d, n), m)
+
+
+def _ranks(lam, mu):
+    """The pairing ranks (m, n) of lambda against the shape mu."""
+    m = max(partition_length(lam), len(mu))
+    return m, max(m + weight(lam) + 1, 2)
 
 
 def kostka(lam, mu):
     """K_{lambda,mu}(q,t) with its positivity flags.
 
-    Ranks: m = max(pl(lambda), l(mu)), n = m + weight + 1; the value is
-    recomputed at n+1 and must agree (stability certificate).
+    Ranks: m = max(pl(lambda), l(mu)), n = m + weight + 1 (_ranks); the
+    value is recomputed at n+1 and must agree (stability certificate).
     """
-    lam = canonicalize(lam)
-    mu = canonicalize(mu)
-    ck = (lam, mu)
-    hit = _KOSTKA_CACHE.get(ck)
-    if hit is not None:
-        return hit
+    return _kostka(canonicalize(lam), canonicalize(mu))
+
+
+@memoized
+def _kostka(lam, mu):
     if weight(lam) != weight(mu):
-        res = KostkaResult(lam, mu, ZERO, 0, 2, True, True)
-        _KOSTKA_CACHE[ck] = res
-        return res
-    m = max(partition_length(lam), len(mu))
-    n = max(m + weight(lam) + 1, 2)
+        return KostkaResult(lam, mu, ZERO, 0, 2, True, True)
+    m, n = _ranks(lam, mu)
     value = pair(_kl_expansion(lam, m, n), _e_expansion(mu, m, n))
     bumped = pair(_kl_expansion(lam, m, n + 1), _e_expansion(mu, m, n + 1))
     if value != bumped:
@@ -229,9 +209,7 @@ def kostka(lam, mu):
     if not value.is_q_polynomial():
         raise ConsistencyError("K_{%r,%r} has a negative q power: %r" % (lam, mu, value))
     poly_v = value.is_v_polynomial()
-    res = KostkaResult(lam, mu, value, m, n, poly_v, poly_v and value.is_nonneg())
-    _KOSTKA_CACHE[ck] = res
-    return res
+    return KostkaResult(lam, mu, value, m, n, poly_v, poly_v and value.is_nonneg())
 
 
 def kostka_q0_check(lam, max_len=None):
@@ -261,8 +239,7 @@ def marked_kostka(lam, d):
         d = MarkedDiagram(shape, d.marked)
     if weight(lam) != weight(shape):
         raise ValueError("weights differ: %r vs %r" % (lam, shape))
-    m = max(partition_length(lam), len(shape))
-    n = max(m + weight(lam) + 1, 2)
+    m, n = _ranks(lam, shape)
     _, l_stat = marking_stats(d)
     value = pair(_kl_expansion(lam, m, n), _marked_expansion(d, m, n))
     value = value.shift(v_exp=2 * l_stat)
@@ -344,8 +321,7 @@ def kostka_via_schur(lam, mu):
         raise ValueError("%r is not a partition" % (lam,))
     if weight(lam) != weight(mu):
         return ZERO
-    m = max(partition_length(lam), len(mu))
-    n = max(m + weight(lam) + 1, 2)
+    m, n = _ranks(lam, mu)
     x = msym_expand(to_module(schur_z(lam, n)), m)
     return pair(x, _e_expansion(mu, m, n))
 
@@ -390,7 +366,7 @@ def charge_oracle(lam, mu):
     if weight(lam) != weight(mu):
         return ZERO
     total = ZERO
-    for t in _ssyt(lam, max(length(mu), 1), list(mu)):
+    for t in _ssyt(lam, max(len(mu), 1), list(mu)):
         word = []
         for row in t:
             word.extend(reversed(row))
@@ -464,6 +440,9 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
                                max_len=max_len, cache_dir=cache_dir)
     pool = None
     if jobs > 1 and not _all_cached(all_lams, domain, marked, cache_dir):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
                                    mp_context=multiprocessing.get_context("spawn"))
     try:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, VINV, V
 from .compositions import (
-    MarkedDiagram,
     all_markings,
     arm,
     box_enumeration,
@@ -25,17 +24,17 @@ from .compositions import (
     canonicalize,
     lambda_star,
     leg,
-    length,
     marking_stats,
     pad,
     sorting_data,
     weight,
 )
+from .memo import memoized, table
 from .parabolic import ModuleElement, bar_d
 from .polyrep import ZPoly, from_module
 
-_E_CACHE = {}
-_MARKED_CACHE = {}
+# (rank, lambda) -> E~_lambda, filled along the star chain
+_E_CACHE = table()
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,6 @@ class MacdonaldResult:
     rank: int
     element: ModuleElement
     normalization: CoeffPoly
-
-
-def clear_caches():
-    _E_CACHE.clear()
-    _MARKED_CACHE.clear()
 
 
 def _e_element(lam, n):
@@ -110,22 +104,20 @@ def marked_e(d, n):
     enumeration order (first box first).
     """
     shape = canonicalize(d.shape)
-    if shape != d.shape:
-        d = MarkedDiagram(shape, d.marked)
     if n < 2 or n < len(shape):
         raise ValueError("rank %d too small for %r" % (n, shape))
-    key = (n, shape, d.marked)
-    hit = _MARKED_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _marked_e(shape, d.marked, n)
+
+
+@memoized
+def _marked_e(shape, marked, n):
     order, cols = box_enumeration(shape)
     x = ModuleElement.basis((), n)
     for s, c in zip(order, cols):
-        if s in d.marked:
+        if s in marked:
             x = x.phibar_op(c).scale(MINUS_ONE)
         else:
             x = x.phi_op(c)
-    _MARKED_CACHE[key] = x
     return x
 
 
@@ -196,7 +188,7 @@ def symmetric_j(mu, n):
         raise ValueError("%r is not a partition" % (mu,))
     if n < 2 or n < len(mu):
         raise ValueError("rank too small")
-    m = length(mu)
+    m = len(mu)
     mu_minus = canonicalize((0,) * (n - m) + tuple(sorted(mu)))
     e_base = e_tilde(mu_minus, n).element.scale(
         CoeffPoly.v_power(-sorting_data(mu_minus, n).inversions)

@@ -22,8 +22,7 @@ per (rank, lambda) as Kronecker-packed ints (packed.py), stored barred, by
 one builder, packed_row; d_basis decodes them into ModuleElements.  The
 exactness argument, a window for the exponents and a bound for the
 coefficients, is spelled out at packed_row and _row_hi_inv.
-Caches are plain dicts (atomic get/insert under the GIL): safe for concurrent
-reads with exclusive inserts.
+Every memo here comes from memo.py, which also clears them.
 """
 
 from __future__ import annotations
@@ -38,14 +37,15 @@ from .compositions import (
     pad,
     weight,
 )
+from .memo import memoized, table
 from .sparse import SparseVector
 
 _VINV_MINUS_V = -V_MINUS_VINV
 
 # (lambda, i) -> (case, s_i lambda) with case = sign(lambda_{i+1} - lambda_i);
 # (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
-_SWAP_MEMO = {}
-_OMEGA_MEMO = {}
+_SWAP_MEMO = table()
+_OMEGA_MEMO = table()
 
 
 def _swap_entry(lam, i):
@@ -170,32 +170,28 @@ class ModuleElement(SparseVector):
 
 # -- monomial images under the standard embedding --------------------------------
 
-_PSI_CACHE = {}
-
 
 def psi_monomial(lam, n):
     """Image of the z-monomial z^lambda: Z_1^{lambda_1}...Z_n^{lambda_n}(M^0)."""
     lam = canonicalize(lam)
     if len(lam) > n:
         raise ValueError("rank %d too small for %r" % (n, lam))
-    key = (n, lam)
-    hit = _PSI_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _psi_monomial(lam, n)
+
+
+@memoized
+def _psi_monomial(lam, n):
     if not lam:
-        result = ModuleElement.basis((), n)
-    else:
-        k = next(i for i, x in enumerate(lam) if x > 0)
-        smaller = canonicalize(lam[:k] + (lam[k] - 1,) + lam[k + 1 :])
-        result = psi_monomial(smaller, n).z_op(k + 1)
-    _PSI_CACHE[key] = result
-    return result
+        return ModuleElement.basis((), n)
+    k = next(i for i, x in enumerate(lam) if x > 0)
+    smaller = canonicalize(lam[:k] + (lam[k] - 1,) + lam[k + 1 :])
+    return _psi_monomial(smaller, n).z_op(k + 1)
 
 
 # -- the bar involution -----------------------------------------------------------
 
 # (rank, lambda) -> PackedRow
-_D_CACHE = {}
+_D_CACHE = table()
 
 
 class PackedRow:
@@ -344,18 +340,5 @@ def bar_d(x):
     for lam, c in x.terms.items():
         cb = c.bar()
         for nu, r in d_basis(lam, x.rank).terms.items():
-            prod = r * cb
-            s = acc.get(nu)
-            s = prod if s is None else s + prod
-            if s:
-                acc[nu] = s
-            elif nu in acc:
-                del acc[nu]
+            _add_term(acc, nu, r * cb)
     return ModuleElement.zero(x.rank)._raw(acc)
-
-
-def clear_caches():
-    _PSI_CACHE.clear()
-    _D_CACHE.clear()
-    _SWAP_MEMO.clear()
-    _OMEGA_MEMO.clear()

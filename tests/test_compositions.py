@@ -17,7 +17,6 @@ from qtkostka.compositions import (
     format_marked,
     lambda_star,
     leg,
-    length,
     marking_stats,
     omega_star,
     omega_star_inv,
@@ -43,8 +42,6 @@ def test_canonicalize():
 
 def test_weight_length_pad():
     assert weight((2, 0, 1)) == 3
-    assert length(()) == 0
-    assert length((0, 1)) == 2
     assert pad((1,), 3) == (1, 0, 0)
     assert pad((1, 2, 3), 3) == (1, 2, 3)
     with pytest.raises(ValueError):
@@ -97,8 +94,8 @@ def test_boxes_and_enumeration():
 def test_c_word_star_recursion():
     for lam in [(2, 1), (0, 2), (3, 1, 1), (2, 2, 1), (1, 0, 2)]:
         star, m, _ = lambda_star(lam)
-        assert m == length(lam)
-        assert c_word(lam) == c_word(star) + (length(lam),)
+        assert m == len(lam)
+        assert c_word(lam) == c_word(star) + (len(lam),)
 
 
 def test_lambda_star():
@@ -157,7 +154,7 @@ def test_compositions_of():
     assert set(compositions_of(2, 2)) == {(2,), (1, 1), (0, 2)}
     assert len(compositions_of(4, 4)) == 35
     for lam in compositions_of(3, 4):
-        assert weight(lam) == 3 and length(lam) <= 4
+        assert weight(lam) == 3 and len(lam) <= 4
         assert canonicalize(lam) == lam
 
 

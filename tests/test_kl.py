@@ -119,8 +119,9 @@ def test_narrowed_packing_width_trips_the_guard(cold, monkeypatch):
 def _corrupt_each_row_entry(lam, n):
     """Yield once per off-diagonal entry of every row in the solve's support.
 
-    During each yield that entry carries an extra +1 at v^0; the KL memo is
-    cleared, so the next kl_element call solves again over the corrupted row.
+    During each yield that entry carries an extra +1 at v^0.  Only the KL
+    solve's memo is cleared, so the corrupted row stays in the row memo and
+    the next kl_element call solves again over it.
     """
     el = kl_element(lam, n).element
     off = packed.offset(sum(lam), n)
@@ -131,12 +132,12 @@ def _corrupt_each_row_entry(lam, n):
                 continue
             saved = row.terms[nu]
             row.terms[nu] = saved + (1 << (packed.WIDTH * off))
-            kl_module.clear_caches()
+            kl_module._kl_solve.cache_clear()
             try:
                 yield mu, nu
             finally:
                 row.terms[nu] = saved
-    kl_module.clear_caches()
+    kl_module._kl_solve.cache_clear()
     assert kl_element(lam, n).element == el
 
 

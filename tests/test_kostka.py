@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -246,12 +247,25 @@ def test_scan_fully_cached_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started for a fully cached scan")
 
-    # the package's kostka attribute is the function; patch the module
-    monkeypatch.setattr(sys.modules["qtkostka.kostka"], "ProcessPoolExecutor", no_pool)
+    # scan imports the pool class only on the branch that starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     again = scan(2, cache_dir=str(cache), jobs=2)
     first.pop("timings")
     again.pop("timings")
     assert again == first
+
+
+def test_import_loads_no_process_pool_machinery():
+    # only scan(..., jobs > 1) needs them, so a plain import must not pay for them
+    src = os.path.dirname(os.path.dirname(qtkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, qtkostka; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_scan_interrupted_keeps_finished_work(tmp_path):

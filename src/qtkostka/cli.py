@@ -16,6 +16,8 @@ from .cache import cached
 from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V
 from .compositions import (
     all_markings,
+    compositions_of,
+    default_rank,
     format_composition,
     format_marked,
     marking_stats,
@@ -55,10 +57,6 @@ def _parse(text):
         raise click.UsageError(str(exc))
 
 
-def _default_rank(comp):
-    return max(len(comp) + weight(comp) + 1, 2)
-
-
 def _env_cache(explicit=None):
     return explicit or os.environ.get("KOSTKA_CACHE") or None
 
@@ -87,7 +85,7 @@ def main():
 def compute_e(mu_text, rank, basis, fmt):
     """Print the Macdonald element E~_mu."""
     mu = _parse(mu_text)
-    n = rank if rank is not None else _default_rank(mu)
+    n = rank if rank is not None else default_rank(mu)
     key = {"mu": format_composition(mu), "rank": n}
     el = cached(_env_cache(), "e_tilde", key, "element", ModuleElement.from_json,
                 lambda: e_tilde(mu, n).element)
@@ -103,7 +101,7 @@ def compute_e(mu_text, rank, basis, fmt):
 def compute_kl(lam_text, rank, fmt):
     """Print the Kazhdan-Lusztig element over lambda."""
     lam = _parse(lam_text)
-    n = rank if rank is not None else _default_rank(lam)
+    n = rank if rank is not None else default_rank(lam)
     key = {"lambda": format_composition(lam), "rank": n}
     el = cached(_env_cache(), "kl", key, "element", ModuleElement.from_json,
                 lambda: kl_element(lam, n).element)
@@ -216,21 +214,21 @@ def _selftest_checks(deep):
 
     def duality():
         return all(
-            duality_check(lam, max(len(lam) + weight(lam) + 1, 2))
+            duality_check(lam, default_rank(lam))
             for d in range(4)
             for lam in _comps(d)
         )
 
     def marked_sums():
         return all(
-            marked_sum_check(lam, max(len(lam) + weight(lam) + 1, 2))
+            marked_sum_check(lam, default_rank(lam))
             for d in range(4)
             for lam in _comps(d)
         )
 
     def symmetric():
         for mu in [(), (1,), (2,), (1, 1)]:
-            symmetric_j(mu, len(mu) + weight(mu) + 1 if mu else 2)
+            symmetric_j(mu, default_rank(mu))
         return True
 
     def q0():
@@ -265,8 +263,6 @@ def _selftest_checks(deep):
 
 
 def _comps(d):
-    from .compositions import compositions_of
-
     return compositions_of(d, max(d, 1))
 
 

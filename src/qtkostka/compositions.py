@@ -28,6 +28,11 @@ def weight(lam):
     return sum(lam)
 
 
+def default_rank(lam):
+    """The rank l(lambda) + |lambda| + 1, at least 2, used when none is given."""
+    return max(len(lam) + weight(lam) + 1, 2)
+
+
 def partition_length(lam):
     """pl(lambda): least m such that the tail lambda_{>m} is weakly decreasing."""
     for m in range(len(lam) + 1):

@@ -22,15 +22,15 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from math import factorial
 
 from .cache import cache_path, cached
-from .coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, ONE, V, ZERO
 from .compositions import (
     MarkedDiagram,
     all_markings,
     canonicalize,
     compositions_of,
+    default_rank,
     format_composition,
     format_marked,
     marking_stats,
@@ -43,7 +43,7 @@ from .kl import kl_element
 from .macdonald import e_tilde, marked_e
 from .memo import memoized
 from .parabolic import ModuleElement
-from .polyrep import to_module
+from .polyrep import ZPoly, to_module
 
 
 class MSymmetryViolation(ConsistencyError):
@@ -71,48 +71,28 @@ class KostkaResult:
 # -- m-symmetric expansions --------------------------------------------------
 
 
-def _perm_count(vals):
-    out = factorial(len(vals))
-    for x in set(vals):
-        out //= factorial(vals.count(x))
-    return out
-
-
 def msym_expand(x, m):
     """Expand an m-symmetric element over the basis M^{tau|m}.
 
-    The coefficient is read off at the tail-sorted representative; the whole
-    orbit is then checked against it, member by member, via the
-    v^{l(w) - l(w_rep)} proportionality.
+    The certificate is H_i x = v^-1 x for every i > m, one two-term block
+    at a time (ModuleElement.first_asymmetry).  The coefficient is read off
+    at the representative tau, whose tail p[m:] is weakly decreasing
+    (partition_length(tau) <= m).  An orbit pass would check nothing more:
+
+    - s_{m+1}..s_{n-1} generate the tail permutations, and the block check
+      puts s_i kappa in the support whenever kappa_i != kappa_{i+1}: every
+      orbit is complete, with its representative present.
+    - An ascent swap costs v^-1 and inv(s_i kappa) = inv(kappa) - 1 (a test
+      pins that msym_basis passes the block check), so sorting the tail
+      gives c_kappa = v^{inv(kappa) - inv(tau)} c_tau, with inv from sorting_data.
     """
     n = x.rank
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    vinv_x = x.scale(VINV)
-    for i in range(m + 1, n):
-        if x.hi(i) != vinv_x:
-            raise MSymmetryViolation("H_%d does not act by v^-1; not %d-symmetric" % (i, m))
-    orbits = {}
-    for key, c in x.terms.items():
-        p = pad(key, max(len(key), m))
-        tail = tuple(sorted(p[m:], reverse=True))
-        while tail and tail[-1] == 0:
-            tail = tail[:-1]
-        orbits.setdefault((p[:m], tail), []).append((key, c))
-    terms = {}
-    for (head, tail), members in orbits.items():
-        rep = canonicalize(head + tail)
-        if len(members) != _perm_count(tail + (0,) * (n - m - len(tail))):
-            raise MSymmetryViolation("orbit of %r is incomplete" % (rep,))
-        a_rep = dict(members)[rep]
-        base = sorting_data(rep, n).inversions
-        for key, c in members:
-            if c != a_rep.shift(v_exp=sorting_data(key, n).inversions - base):
-                raise MSymmetryViolation(
-                    "coefficient of %r breaks the orbit proportionality" % (key,)
-                )
-        terms[rep] = a_rep
-    return MSymExpansion(m, n, terms)
+    i = x.first_asymmetry(m)
+    if i is not None:
+        raise MSymmetryViolation("H_%d does not act by v^-1; not %d-symmetric" % (i, m))
+    return MSymExpansion(m, n, {k: c for k, c in x.terms.items() if partition_length(k) <= m})
 
 
 def msym_basis(tau, m, n):
@@ -120,10 +100,10 @@ def msym_basis(tau, m, n):
     tau = canonicalize(tau)
     if len(tau) > n:
         raise ValueError("rank too small")
+    if partition_length(tau) > m:
+        raise ValueError("%r is not a representative for m=%d" % (tau, m))
     p = pad(tau, n)
     head, tail = p[:m], p[m:]
-    if any(tail[k] < tail[k + 1] for k in range(len(tail) - 1)):
-        raise ValueError("%r is not a representative for m=%d" % (tau, m))
     base = sorting_data(tau, n).inversions
     terms = {}
     for perm in set(itertools.permutations(tail)):
@@ -181,7 +161,7 @@ def _marked_expansion(d, m, n):
 
 
 def _ranks(lam, mu):
-    """The pairing ranks (m, n) of lambda against the shape mu."""
+    """The pairing ranks (m, n) of lambda against the shape mu; mu = () gives the KL rank."""
     m = max(partition_length(lam), len(mu))
     return m, max(m + weight(lam) + 1, 2)
 
@@ -221,11 +201,10 @@ def kostka_q0_check(lam, max_len=None):
     the mu window; entries past the window are simply not probed.
     """
     lam = canonicalize(lam)
-    d = weight(lam)
-    n = max(partition_length(lam) + d + 1, 2)
+    _, n = _ranks(lam, ())
     el = kl_element(lam, n).element
     window = n if max_len is None else min(max_len, n)
-    for mu in compositions_of(d, window):
+    for mu in compositions_of(weight(lam), window):
         if kostka(lam, mu).value.specialize_q0() != el.coefficient(mu):
             return False
     return True
@@ -300,8 +279,6 @@ def schur_z(lam, n):
     lam = canonicalize(lam)
     if any(lam[k] < lam[k + 1] for k in range(len(lam) - 1)):
         raise ValueError("%r is not a partition" % (lam,))
-    from .polyrep import ZPoly
-
     acc = {}
     for t in _ssyt(lam, n, None):
         cnt = [0] * n
@@ -380,8 +357,7 @@ def charge_oracle(lam, mu):
 def psi_e_polynomial(mu):
     """Whether every coefficient of psi(E~_mu) lies in Z[v,q] (no negatives)."""
     mu = canonicalize(mu)
-    n = max(len(mu) + weight(mu) + 1, 2)
-    el = e_tilde(mu, n).element
+    el = e_tilde(mu, default_rank(mu)).element
     return all(c.is_v_polynomial() and c.is_q_polynomial() for c in el.terms.values())
 
 
@@ -403,7 +379,7 @@ def _scan_lambda(lam, domain, marked, max_len, cache_dir):
                 marked_values[(lam, mu, dg.marked)] = cached(
                     cache_dir, "marked", _marked_key(lam, dg), "value",
                     CoeffPoly.from_json, lambda: marked_kostka(lam, dg))
-    el = kl_element(lam, max(partition_length(lam) + d + 1, max_len + 1, 2)).element
+    el = kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)).element
     return values, marked_values, {mu: el.coefficient(mu) for mu in domain[d]}
 
 

@@ -121,6 +121,27 @@ class ModuleElement(SparseVector):
                     _add_term(acc, lam, c * echo)
         return self._raw(acc)
 
+    def first_asymmetry(self, m):
+        """The least i in (m, n) at which H_i does not act by v^-1, or None.
+
+        H_i keeps each block span{M^kappa, M^{s_i kappa}} and scales an equal
+        pair by v^-1; on a block with an ascent kappa, both coordinates of
+        H_i y = v^-1 y say c_{s_i kappa} = v^-1 c_kappa.  So every key with
+        case != 0 needs c_{s_i kappa} = v^{-case} c_kappa: a missing partner fails.
+        """
+        terms = self.terms
+        memo = _SWAP_MEMO
+        for i in range(m + 1, self.rank):
+            for lam, c in terms.items():
+                key = (lam, i)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = _swap_entry(lam, i)
+                case, swapped = hit
+                if case and terms.get(swapped) != c.shift(v_exp=-case):
+                    return i
+        return None
+
     def omega(self):
         """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
         n = self.rank

@@ -1,7 +1,6 @@
 """Tests for the command-line front end."""
 
 import json
-import os
 
 import pytest
 from click.testing import CliRunner

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from qtkostka.coeffs import (
     CoeffPoly,
-    ConsistencyError,
     NonExactDivision,
     ONE,
     V,

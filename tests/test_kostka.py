@@ -10,13 +10,15 @@ import pytest
 
 import qtkostka
 
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
+from qtkostka.coeffs import CoeffPoly, NonExactDivision, ONE, V, ZERO
 from qtkostka.compositions import (
     MarkedDiagram,
     all_markings,
     compositions_of,
+    default_rank,
     format_marked,
-    parse_marked,
+    pad,
+    partition_length,
 )
 from qtkostka.kl import kl_element
 from qtkostka.kostka import (
@@ -36,9 +38,8 @@ from qtkostka.kostka import (
     scan,
     schur_z,
 )
-from qtkostka.macdonald import e_tilde
+from qtkostka.macdonald import e_tilde, marked_e
 from qtkostka.parabolic import ModuleElement
-from qtkostka.polyrep import to_module
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -54,19 +55,60 @@ def test_msym_basis():
     assert x.coefficient((2, 1)) == ONE
 
 
+def _msym_elements(max_weight):
+    """(label, element, m): KL, E~ and marked E~ up to max_weight, m least."""
+    for d in range(max_weight + 1):
+        for lam in compositions_of(d, max(d, 1)):
+            n = default_rank(lam)
+            yield ("kl", lam), kl_element(lam, n).element, partition_length(lam)
+            yield ("e", lam), e_tilde(lam, n).element, len(lam)
+            for dg in all_markings(lam):
+                yield ("marked", format_marked(dg)), marked_e(dg, n), len(lam)
+
+
 def test_msym_expand_round_trip():
-    el = kl_element((2,), 3).element
-    exp = msym_expand(el, 0)
-    total = ModuleElement.zero(3)
-    for tau, c in exp.terms.items():
-        total = total + msym_basis(tau, 0, 3).scale(c)
-    assert total == el
+    for label, el, least in _msym_elements(3):
+        n = el.rank
+        for m in range(least, n + 1):
+            total = ModuleElement.zero(n)
+            for tau, c in msym_expand(el, m).terms.items():
+                total = total + msym_basis(tau, m, n).scale(c)
+            assert total == el, (label, m)
+
+
+def test_msym_basis_passes_the_block_check():
+    # the premise of msym_expand's proof: inv(sorting_data) drops by one at
+    # every tail ascent, so the orbit sum is an H_i = v^-1 eigenvector
+    for n in range(2, 7):
+        for d in range(5):
+            for tau in compositions_of(d, n):
+                for m in range(partition_length(tau), n + 1):
+                    assert msym_basis(tau, m, n).first_asymmetry(m) is None, (tau, m, n)
 
 
 def test_msym_expand_rejects_asymmetric():
     x = ModuleElement.basis((1,), 3)
     with pytest.raises(MSymmetryViolation):
         msym_expand(x, 0)
+
+
+def test_msym_expand_catches_every_orbit_corruption():
+    # scale one coefficient of a nontrivial tail orbit by v, or delete it
+    count = 0
+    for label, el, m in _msym_elements(3):
+        n = el.rank
+        for key, c in el.terms.items():
+            if len(set(pad(key, n)[m:])) < 2:
+                continue
+            scaled = dict(el.terms)
+            scaled[key] = c.shift(v_exp=1)
+            deleted = dict(el.terms)
+            del deleted[key]
+            for terms in (scaled, deleted):
+                with pytest.raises(MSymmetryViolation, match="not %d-symmetric" % m):
+                    msym_expand(ModuleElement(n, terms), m)
+                count += 1
+    assert count >= 100
 
 
 def test_pair_needs_divisible_coefficients():

@@ -2,13 +2,8 @@
 
 import pytest
 
-from qtkostka.coeffs import CoeffPoly, ONE, V, ZERO
-from qtkostka.compositions import (
-    MarkedDiagram,
-    all_markings,
-    compositions_of,
-    marking_stats,
-)
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V
+from qtkostka.compositions import MarkedDiagram, compositions_of
 from qtkostka.macdonald import (
     duality_check,
     e_box_product,
@@ -132,6 +127,22 @@ def test_symmetric_j_small():
     assert j2.coefficient((2,)) == (ONE - T) * (ONE - Q * T)
     assert j2.coefficient((1, 1)) == (ONE - T) * (ONE - T) * (ONE + Q)
     assert j2.coefficient((2,)) == j2.coefficient((0, 2))
+
+
+def test_symmetric_j_rejects_an_asymmetric_result(monkeypatch):
+    # skew one coefficient of J_(1) by v as the stabilizer factors are cleared
+    exact_div = CoeffPoly.exact_div
+    calls = []
+
+    def skewed(self, other):
+        calls.append(other)
+        out = exact_div(self, other)
+        return out.shift(v_exp=1) if len(calls) == 1 else out
+
+    monkeypatch.setattr(CoeffPoly, "exact_div", skewed)
+    with pytest.raises(ConsistencyError, match="not symmetric"):
+        symmetric_j((1,), 2)
+    assert calls
 
 
 def test_symmetric_j_rejects_non_partitions():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
-from qtkostka.compositions import compositions_of, pad
+from qtkostka.compositions import compositions_of
 from qtkostka.bruhat import preceq
 from qtkostka.parabolic import (
     ModuleElement,

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
+from qtkostka.coeffs import CoeffPoly, ONE, V, VINV
 from qtkostka.compositions import compositions_of, pad, sorting_data
 from qtkostka.macdonald import e_monomial
 from qtkostka.parabolic import ModuleElement, bar_d

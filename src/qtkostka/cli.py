@@ -186,6 +186,8 @@ def scan_cmd(max_weight, max_len, jobs, cache_dir, report_path, csv_path, with_m
     )
     for violation in report["violations"]:
         click.echo(json.dumps(violation, sort_keys=True))
+    if any(v["check"] == "internal" for v in report["violations"]):
+        sys.exit(3)
     if report["violations"]:
         sys.exit(1)
 

@@ -238,6 +238,43 @@ def parse_marked(text):
     return MarkedDiagram(shape, frozenset(marked))
 
 
+def arrangements(items, k=None):
+    """The distinct orderings of k entries of the tuple items, sorted.
+
+    k defaults to all of them, so arrangements(tail) is the orbit of a tail
+    under its permutations, each arrangement built once.
+    """
+    k = len(items) if k is None else k
+    if k == 0:
+        return [()]
+    out = []
+    for x in sorted(set(items)):
+        rest = list(items)
+        rest.remove(x)
+        out.extend((x,) + more for more in arrangements(tuple(rest), k - 1))
+    return out
+
+
+def orbit(tau, m, n, k=None):
+    """Keys of the orbit of tau under the permutations of the tail past m.
+
+    tau is a representative for m: its padded tail p[m:] is weakly
+    decreasing.  Yields (kappa, inv(kappa) - inv(tau)), inv from
+    sorting_data, for the keys kappa of the orbit whose tail past m + k is
+    weakly decreasing, that is, the orbit's representatives for m + k.  The
+    default k = n - m yields the whole orbit.
+    """
+    p = pad(tau, n)
+    head, tail = p[:m], p[m:]
+    base = sorting_data(tau, n).inversions
+    for mid in arrangements(tail, k):
+        rest = list(tail)
+        for x in mid:
+            rest.remove(x)
+        key = canonicalize(head + mid + tuple(sorted(rest, reverse=True)))
+        yield key, sorting_data(key, n).inversions - base
+
+
 def compositions_of(d, max_len):
     """All trimmed compositions of weight d with length at most max_len."""
     out = []

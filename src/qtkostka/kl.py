@@ -1,53 +1,114 @@
 """Kazhdan-Lusztig basis of the polynomial parabolic module.
 
 M^_lambda is the unique bar-invariant element congruent to M^lambda modulo
-terms with coefficients in vZ[v].  It is found by the standard triangular
-solve: close the support under the involution's rows, walk it from the top
-of the Bruhat order down, and at each node split the accumulated bar-skew
-right-hand side into its positive part.
+terms with coefficients in vZ[v].  It is m-symmetric for m =
+partition_length(lambda), so it is fixed by one coefficient p_tau per orbit
+of the tail permutations:
 
-Every quantity of the solve is q-free, so it runs on Kronecker-packed ints
-(packed.py) against the barred rows of packed_row, all at the window offset
-|lambda|(n-1).  Exactness, step by step:
+    M^_lambda = sum_tau p_tau M^{tau|m},
 
-* Window.  A row entry bar(r) has exponents >= -|lambda|(n-1), and a KL
-  coefficient p lies in Z[v], so p * bar(r) and any sum of such products stay
-  in the window; the one v^-1 shift, in the row builder, checks the digit it
-  drops.
-* Bound.  Each row carries a proven bound on its coefficients.  The
-  right-hand side at every node is a sum of p_mu * bar(r_{mu,nu}), so its
-  coefficients are at most sum_mu ||p_mu||_1 * bound(row_mu), the running
-  bound kept by the solve.  A node is decoded only while that bound is below
-  2^(WIDTH-1), where balanced digits are the coefficients; otherwise the
-  solve raises ConsistencyError naming the width.
-* Comparisons.  The diagonal check and the self-duality recheck compare
-  packed ints under fitting bounds, where int equality is polynomial
-  equality.
+where tau runs over the representatives (padded tail p[m:] weakly
+decreasing) and M^{tau|m} is the orbit sum of msym_basis.  The solve finds
+the p_tau by one triangular solve over this orbit basis (Deodhar's parabolic
+KL setting), at every rank n with one row per representative.  Every
+coefficient is then read off: the coefficient at a key kappa is
+v^{inv(kappa) - inv(tau)} p_tau, with tau the representative of kappa's orbit
+and inv from sorting_data (KLElement.expansion).
 
-The certificates are those of the CoeffPoly solve: a unit diagonal, strict
-triangularity in min_rep_length, bar-skewness at every node (in
-skew_positive_part), coefficients in vZ[v], and self-duality, recomputed
-from scratch as sum_mu p_mu * bar(row_mu) == bar(el), which is
-bar_d(el) == el with both sides barred.
+Orbit rows.  Let N = n - m and J = {m+1, ..., n-1}.  The element
+C_J = v^{N(N-1)/2} sum_{w in W_J} v^{-l(w)} H_w is bar-invariant, and
+H_i C_J = C_J H_i = v^-1 C_J for i in J.  For a representative tau let
+kappa0 be tau with its tail sorted increasingly, and let l(kappa) count the
+strict inversions (i < j with kappa_i > kappa_j) of kappa's padded tail.
+Then C_J M^{kappa0} = s_tau M^{tau|m}, where
+
+    s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2},
+
+the product running over the tail's part multiplicities, zeros included.
+The involution d is semilinear, d(h x) = bar(h) d(x) with bar(H_i) =
+H_i^-1, so with C_J bar-invariant, d(M^{tau|m}) = bar(s_tau)^-1 C_J
+d(M^{kappa0}).  For kappa in the orbit of sigma, C_J M^kappa =
+v^{-l(kappa)} s_sigma M^{sigma|m}.  Hence
+
+    d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m},
+    R[tau][sigma] = s_sigma A_sigma / bar(s_tau),
+    A_sigma = sum_{kappa in orbit(sigma)} v^{-l(kappa)} r_{kappa0,kappa},
+
+r being the involution row of kappa0 (packed_row).  Rows are stored barred,
+where v^{-l} is a left shift by WIDTH * l: A_sigma is summed packed under
+the bound sum of row.bound over the orbit's entries, which check_bound
+must pass before the one decode.  d(M^{tau|m}) is m-symmetric as
+M^{tau|m} is, so the division by bar(s_tau) is exact on correct rows; a
+remainder raises ConsistencyError.
+
+The solve.  p_lambda = 1; walking the representatives in decreasing
+min_rep_length, p_sigma = skew_positive_part(sum_tau bar(p_tau) R[tau][sigma]).
+
+Certificates, all in quotient form: a unit diagonal R[tau][tau] = 1; strict
+triangularity of each orbit row in min_rep_length; bar-skewness at every node
+(in skew_positive_part); p_tau in vZ[v] for tau != lambda; the exact division
+by bar(s_tau); and self-duality, recomputed from scratch over the orbit rows
+as sum_tau bar(p_tau) R[tau] == p.  They imply the certificates of the
+full-rank solve:
+
+* Each M^{tau|m} passes the block check H_i = v^-1 for i > m (a test pins
+  this for msym_basis), so the element sum_tau p_tau M^{tau|m} is m-symmetric
+  by construction.
+* d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m} exactly, as derived
+  above, so d(sum_tau p_tau M^{tau|m}) = sum_sigma (sum_tau bar(p_tau)
+  R[tau][sigma]) M^{sigma|m}: bar-invariance in the quotient, which the
+  recheck certifies, is bar-invariance of the full element.
+* The coefficient at lambda is 1.  Every other key of lambda's orbit has a
+  coefficient v^{l} with l >= 1, and every key of another orbit a multiple
+  of its p_tau in vZ[v].  So the element is congruent to M^lambda modulo
+  vZ[v], and by uniqueness of the KL element it is the one the full-rank
+  solve returns.
+
+Packed arithmetic (packed.py): a row entry bar(r) has exponents >=
+-|lambda|(n-1) and a left shift only raises them, so A_sigma stays in the
+row's window; the bound makes its decode exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import packed
 from .bruhat import min_rep_length
-from .coeffs import CoeffPoly, ConsistencyError, ONE
-from .compositions import canonicalize, weight
+from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, ZERO
+from .compositions import canonicalize, orbit, pad, partition_length, weight
 from .memo import memoized
 from .parabolic import ModuleElement, packed_row
 
 
 @dataclass(frozen=True)
 class KLElement:
+    """M^_lambda at rank n as its coefficients over the orbit basis M^{tau|m}.
+
+    m = partition_length(lambda); coeffs maps each representative tau with
+    p_tau != 0 to p_tau.
+    """
+
     lam: tuple
     rank: int
-    element: ModuleElement
+    m: int
+    coeffs: dict
+
+    def expansion(self, m):
+        """The coefficients at the representatives for m >= self.m."""
+        if not self.m <= m <= self.rank:
+            raise ValueError("M^_%r is %d-symmetric, not %d" % (self.lam, self.m, m))
+        out = {}
+        for tau, p in self.coeffs.items():
+            for key, e in orbit(tau, self.m, self.rank, m - self.m):
+                out[key] = p.shift(v_exp=e)
+        return out
+
+    @functools.cached_property
+    def element(self):
+        """The element in the standard basis, every key its own representative."""
+        return ModuleElement(self.rank, self.expansion(self.rank))
 
 
 def skew_positive_part(g):
@@ -69,81 +130,110 @@ def kl_element(lam, n):
     lam = canonicalize(lam)
     if n < 2 or n < len(lam):
         raise ValueError("rank %d too small for %r" % (n, lam))
-    return _kl_solve(lam, n)
+    return _quotient_solve(lam, n)
+
+
+def _tail_inversions(tail):
+    """l: the pairs i < j with tail[i] > tail[j]."""
+    return sum(1 for i, a in enumerate(tail) for b in tail[i + 1 :] if a > b)
+
+
+def _s_factor(tau, m, n):
+    """s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2}, N = n - m."""
+    tail = pad(tau, n)[m:]
+    big = len(tail)
+    out = CoeffPoly.v_power(big * (big - 1) // 2 - _tail_inversions(tail))
+    for a in set(tail):
+        for i in range(2, tail.count(a) + 1):
+            out = out * CoeffPoly({(-2 * j, 0): 1 for j in range(i)})
+    return out
 
 
 @memoized
-def _kl_solve(lam, n):
-    # support closure under the involution rows
-    off = packed.offset(weight(lam), n)
-    one = packed.encode(ONE, off)
+def _orbit_row(tau, m, n):
+    """R[tau], the orbit row d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m}."""
+    p = pad(tau, n)
+    row = packed_row(canonicalize(p[:m] + tuple(sorted(p[m:]))), n)
+    k = packed.WIDTH
+    sums = {}
+    counts = {}
+    for kappa, x in row.terms.items():
+        q = pad(kappa, n)
+        sigma = canonicalize(q[:m] + tuple(sorted(q[m:], reverse=True)))
+        sums[sigma] = sums.get(sigma, 0) + (x << k * _tail_inversions(q[m:]))
+        counts[sigma] = counts.get(sigma, 0) + 1
+    off = packed.offset(weight(tau), n)
+    s_bar = _s_factor(tau, m, n).bar()
+    out = {}
+    for sigma, x in sums.items():
+        packed.check_bound(counts[sigma] * row.bound, "orbit row of %r at rank %d" % (tau, n))
+        a = packed.decode(x, off).bar()
+        if not a:
+            continue
+        try:
+            out[sigma] = (_s_factor(sigma, m, n) * a).exact_div(s_bar)
+        except NonExactDivision:
+            raise ConsistencyError(
+                "bar(s_%r) does not divide the orbit row of %r at %r at rank %d"
+                % (tau, tau, sigma, n)
+            ) from None
+    return out
+
+
+@memoized
+def _quotient_solve(lam, n):
+    m = partition_length(lam)
     rows = {}
     frontier = [lam]
     while frontier:
-        mu = frontier.pop()
-        if mu in rows:
+        tau = frontier.pop()
+        if tau in rows:
             continue
-        row = packed_row(mu, n)
-        if row.terms.get(mu) != one:
-            raise ConsistencyError("involution row of %r has a bad diagonal" % (mu,))
-        rows[mu] = row
-        frontier.extend(nu for nu in row.terms if nu not in rows)
+        row = _orbit_row(tau, m, n)
+        if row.get(tau) != ONE:
+            raise ConsistencyError("orbit row of %r has a bad diagonal" % (tau,))
+        top = min_rep_length(tau, n)
+        for sigma in row:
+            if sigma != tau and min_rep_length(sigma, n) >= top:
+                raise ConsistencyError(
+                    "orbit row of %r is not strictly triangular at %r" % (tau, sigma)
+                )
+        rows[tau] = row
+        frontier.extend(sigma for sigma in row if sigma not in rows)
 
-    # solve top-down; triangularity of the rows is verified on the way.
-    # acc[nu] holds bar of the right-hand side, sum p_mu * bar(r_{mu,nu}),
-    # and bound is the running bound on its coefficients.
-    ml = {mu: min_rep_length(mu, n) for mu in rows}
-    order = sorted(rows, key=ml.__getitem__, reverse=True)
+    # solve top-down; acc[sigma] is sum_tau bar(p_tau) R[tau][sigma] over the
+    # representatives tau above sigma
+    order = sorted(rows, key=lambda tau: min_rep_length(tau, n), reverse=True)
     if order[0] != lam:
         raise ConsistencyError("support closure of %r is not topped by it" % (lam,))
-    coeffs = {lam: ONE}
+    coeffs = {}
     acc = {}
-    bound = 0
-    for mu in order:
-        if mu == lam:
+    for sigma in order:
+        if sigma == lam:
             p = ONE
         else:
-            x = acc.get(mu)
-            if x is None:
+            g = acc.get(sigma)
+            if not g:
                 continue
-            packed.check_bound(bound, "KL solve of %r at rank %d" % (lam, n))
-            p = skew_positive_part(packed.decode(x, off).bar())
+            p = skew_positive_part(g)
             if not p:
                 continue
-            coeffs[mu] = p
-        row = rows[mu]
-        bound += packed.l1(p) * row.bound
-        pv = packed.encode(p, 0)
-        for nu, r in row.terms.items():
-            if nu == mu:
-                continue
-            if ml[nu] >= ml[mu]:
+            if not p.is_q_free() or p.min_v_exp() < 1:
                 raise ConsistencyError(
-                    "involution row of %r is not strictly triangular at %r" % (mu, nu)
+                    "KL coefficient of %r in M^_%r leaves vZ[v]: %r" % (sigma, lam, p)
                 )
-            acc[nu] = acc.get(nu, 0) + pv * r
+        coeffs[sigma] = p
+        pb = p.bar()
+        for nu, r in rows[sigma].items():
+            if nu != sigma:
+                acc[nu] = acc.get(nu, ZERO) + pb * r
 
-    el = ModuleElement(n, coeffs)
-    for mu, c in el.terms.items():
-        if mu == lam:
-            continue
-        if not c.is_q_free() or c.min_v_exp() < 1:
-            raise ConsistencyError(
-                "KL coefficient of %r in M^_%r leaves vZ[v]: %r" % (mu, lam, c)
-            )
-
-    # self-duality from scratch: bar(d(el)) = sum_mu p_mu * bar(row_mu) must
-    # be bar(el), compared packed under a bound that makes it exact
+    # self-duality from scratch: d(el) = sum_tau bar(p_tau) R[tau] must be el
     image = {}
-    bound = 0
-    for mu, p in el.terms.items():
-        row = rows[mu]
-        bound += packed.l1(p) * row.bound
-        pv = packed.encode(p, 0)
-        for nu, r in row.terms.items():
-            image[nu] = image.get(nu, 0) + pv * r
-    packed.check_bound(bound, "self-duality recheck of M^_%r at rank %d" % (lam, n))
-    want = {mu: packed.encode(c.bar(), off) for mu, c in el.terms.items()}
-    if {nu: x for nu, x in image.items() if x} != want:
+    for tau, p in coeffs.items():
+        pb = p.bar()
+        for sigma, r in rows[tau].items():
+            image[sigma] = image.get(sigma, ZERO) + pb * r
+    if {sigma: c for sigma, c in image.items() if c} != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
-    return KLElement(lam, n, el)
+    return KLElement(lam, n, m, coeffs)

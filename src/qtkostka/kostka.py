@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .cache import cache_path, cached
-from .coeffs import CoeffPoly, ConsistencyError, ONE, V, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
 from .compositions import (
     MarkedDiagram,
     all_markings,
@@ -34,9 +34,9 @@ from .compositions import (
     format_composition,
     format_marked,
     marking_stats,
+    orbit,
     pad,
     partition_length,
-    sorting_data,
     weight,
 )
 from .kl import kl_element
@@ -102,14 +102,7 @@ def msym_basis(tau, m, n):
         raise ValueError("rank too small")
     if partition_length(tau) > m:
         raise ValueError("%r is not a representative for m=%d" % (tau, m))
-    p = pad(tau, n)
-    head, tail = p[:m], p[m:]
-    base = sorting_data(tau, n).inversions
-    terms = {}
-    for perm in set(itertools.permutations(tail)):
-        key = canonicalize(head + perm)
-        terms[key] = CoeffPoly.v_power(sorting_data(key, n).inversions - base)
-    return ModuleElement(n, terms)
+    return ModuleElement(n, {key: CoeffPoly.v_power(e) for key, e in orbit(tau, m, n)})
 
 
 def pair(x, y):
@@ -147,7 +140,7 @@ def pair_truncated(x, y):
 
 @memoized
 def _kl_expansion(lam, m, n):
-    return msym_expand(kl_element(lam, n).element, m)
+    return MSymExpansion(m, n, kl_element(lam, n).expansion(m))
 
 
 @memoized
@@ -365,22 +358,35 @@ def _scan_lambda(lam, domain, marked, max_len, cache_dir):
     """The main-pass results of one lambda, each read from or written to the cache.
 
     Returns the Kostka values keyed (lam, mu), the marked refinements keyed
-    (lam, mu, marks) and the coefficients of the KL element over lambda on
-    the scanned window of mu.  The KL rank covers every mu in the window.
+    (lam, mu, marks), the coefficients of the KL element over lambda on the
+    scanned window of mu, and an "internal" record for each value whose
+    computation raised ConsistencyError or NonExactDivision.  Such a value
+    is left out and not cached.  The KL rank covers every mu in the window.
     """
     d = weight(lam)
     values = {}
     marked_values = {}
+    internal = []
+
+    def attempt(store, key, kind, cache_key, compute, mu, dg=None):
+        try:
+            store[key] = cached(cache_dir, kind, cache_key, "value", CoeffPoly.from_json, compute)
+        except (ConsistencyError, NonExactDivision) as exc:
+            detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
+            record = _violation("internal", lam, mu, None, detail)
+            if dg is not None:
+                record["marking"] = format_marked(dg)
+            internal.append(record)
+
     for mu in domain[d]:
-        values[(lam, mu)] = cached(cache_dir, "kostka", _kostka_key(lam, mu), "value",
-                                   CoeffPoly.from_json, lambda: kostka(lam, mu).value)
+        attempt(values, (lam, mu), "kostka", _kostka_key(lam, mu),
+                lambda: kostka(lam, mu).value, mu)
         if marked:
             for dg in all_markings(mu):
-                marked_values[(lam, mu, dg.marked)] = cached(
-                    cache_dir, "marked", _marked_key(lam, dg), "value",
-                    CoeffPoly.from_json, lambda: marked_kostka(lam, dg))
+                attempt(marked_values, (lam, mu, dg.marked), "marked", _marked_key(lam, dg),
+                        lambda: marked_kostka(lam, dg), mu, dg)
     el = kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)).element
-    return values, marked_values, {mu: el.coefficient(mu) for mu in domain[d]}
+    return values, marked_values, {mu: el.coefficient(mu) for mu in domain[d]}, internal
 
 
 def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
@@ -394,6 +400,8 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     raised.  With a cache directory every value is written as soon as it is
     computed, so a rerun, also after an interruption, skips finished values.
     With jobs > 1 the lambdas are spread over that many worker processes.
+    A value whose computation fails a certificate becomes an "internal"
+    violation; the checks that need it skip it, and the scan goes on.
     """
     t_start = time.perf_counter()
     if max_len is None:
@@ -423,10 +431,11 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
         rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
-        for k, (lam, (vals, marks, kl)) in enumerate(zip(all_lams, rows)):
+        for k, (lam, (vals, marks, kl, internal)) in enumerate(zip(all_lams, rows)):
             values.update(vals)
             marked_values.update(marks)
             kl_vectors[lam] = kl
+            violations.extend(internal)
             note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
     finally:
         if pool:
@@ -455,10 +464,13 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
                 v["marking"] = format_marked(MarkedDiagram(mu, marks))
                 violations.append(v)
         for (lam, mu), val in sorted(values.items()):
+            parts = [(dg, marked_values.get((lam, mu, dg.marked))) for dg in all_markings(mu)]
+            if any(part is None for _, part in parts):
+                continue
             total = ZERO
-            for dg in all_markings(mu):
+            for dg, part in parts:
                 a_stat, _ = marking_stats(dg)
-                total = total + marked_values[(lam, mu, dg.marked)].shift(q_exp=a_stat)
+                total = total + part.shift(q_exp=a_stat)
             if total != val:
                 violations.append(
                     _violation("marked_decomposition", lam, mu, total, "sum over markings differs")
@@ -474,12 +486,12 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
         for i in range(1, len(mu) + 1):
             if p_mu[i - 1] > p_mu[i] and p_lam[i - 1] >= p_lam[i]:
                 smu = canonicalize(p_mu[: i - 1] + (p_mu[i], p_mu[i - 1]) + p_mu[i + 1 :])
-                if len(smu) > max_len:
+                other = values.get((lam, smu))
+                if len(smu) > max_len or other is None:
                     continue
-                if values[(lam, smu)] != val * V:
+                if other != val * V:
                     violations.append(
-                        _violation("mpart", lam, mu, values[(lam, smu)],
-                                   "expected v*K at i=%d" % i)
+                        _violation("mpart", lam, mu, other, "expected v*K at i=%d" % i)
                     )
     timings["mpart"] = round(time.perf_counter() - t0, 3)
 
@@ -487,7 +499,9 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     t0 = time.perf_counter()
     for lam in all_lams:
         for mu in domain[weight(lam)]:
-            val = values[(lam, mu)]
+            val = values.get((lam, mu))
+            if val is None:
+                continue
             try:
                 q0 = val.specialize_q0()
             except ValueError:

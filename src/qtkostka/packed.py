@@ -50,9 +50,11 @@ def offset(weight, n):
 def row_limit():
     """The largest bound an involution row carries between exact decodes.
 
-    2^(WIDTH-22), so that a KL solve's running bound, the sum of
-    ||p_mu||_1 * bound(row_mu), fits whenever the KL coefficients' norms sum
-    to less than 2^21.  For M^_(3,1,1) at rank 10 they sum to 4752.
+    2^(WIDTH-22).  Unless a row's exact coefficients are larger, its bound
+    then stays below 3 * 2^(WIDTH-22), so an orbit sum of the KL solve,
+    bounded by its entry count times the row's bound, fits for orbits of
+    fewer than 2^20 entries.  For M^_(3,1,1) at rank 10 the largest such
+    bound is 4536.
     """
     return 1 << max(WIDTH - 22, 0)
 
@@ -115,11 +117,6 @@ def max_coeff(x):
     digits = _biased_digits(x)
     half = 1 << (WIDTH - 1)
     return max(max(digits) - half, half - min(digits))
-
-
-def l1(f):
-    """The sum of |coefficients| of f."""
-    return sum(abs(c) for c in f.terms.values())
 
 
 def shift_down(x):

@@ -334,17 +334,6 @@ def packed_row(lam, n):
     return _D_CACHE[key]
 
 
-def _d_basis_word(lam, n):
-    """d(M^lambda) straight from the Phibar word over the column word.
-
-    The last Phibar runs on ModuleElement; tests compare it with d_basis.
-    """
-    if not lam:
-        return ModuleElement.basis((), n)
-    star, m, _ = lambda_star(lam)
-    return d_basis(star, n).phibar_op(m)
-
-
 def d_basis(lam, n):
     """d(M^lambda), decoded from its packed row."""
     lam = canonicalize(lam)

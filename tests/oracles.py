@@ -1,14 +1,27 @@
-"""Brute-force extended affine Weyl group of type A, for tests only.
+"""Slow reference implementations, for tests only.
 
+Most of the module is a brute-force extended affine Weyl group of type A.
 Elements are pairs (tau, w): the translation by tau composed after the
 permutation w, with w stored as a tuple of 0-based images.  Everything is
 computed by explicit group arithmetic and breadth-first search over the
-Cayley graph, so this module is slow and honest: lengths come from graph
+Cayley graph, so this part is slow and honest: lengths come from graph
 distance, Bruhat order from the subword characterization, and minimal coset
 representatives from exhaustive minimization over the finite group.
+
+The rest are the library's former routes, kept as differential references:
+the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
+straight from its operator word, and distinct permutations by brute force.
 """
 
+import itertools
 from functools import lru_cache
+
+from qtkostka import packed
+from qtkostka.bruhat import min_rep_length
+from qtkostka.coeffs import ConsistencyError, ONE
+from qtkostka.compositions import lambda_star, weight
+from qtkostka.kl import skew_positive_part
+from qtkostka.parabolic import ModuleElement, d_basis, packed_row
 
 
 def mul_perm(a, b):
@@ -117,8 +130,6 @@ def reduced_word(x, radius=16):
 
 
 def _all_perms(n):
-    import itertools
-
     return list(itertools.permutations(range(n)))
 
 
@@ -156,3 +167,112 @@ def oracle_leq(tau, eta, radius=16):
     y, _ = min_rep(eta, radius)
     u = gmul(omega_power(-component(x), n), x)
     return u in lower_interval(y, radius)
+
+
+# -- the full-rank Kazhdan-Lusztig solve and the word route of d -----------------
+
+
+def l1(f):
+    """The sum of |coefficients| of f."""
+    return sum(abs(c) for c in f.terms.values())
+
+
+@lru_cache(maxsize=None)
+def kl_solve_full(lam, n):
+    """M^_lambda by the triangular solve over its whole rank-n support.
+
+    The differential reference of qtkostka.kl's orbit-basis solve, with the
+    certificates it had as the library's solve: a unit diagonal, strict
+    triangularity in min_rep_length, bar-skewness at every node, coefficients
+    in vZ[v], and self-duality recomputed from scratch as
+    sum_mu p_mu * bar(row_mu) == bar(el), all on packed rows (packed.py).
+    Callers clear this memo together with the library's (clear_caches does
+    not reach it).
+    """
+    # support closure under the involution rows
+    off = packed.offset(weight(lam), n)
+    one = packed.encode(ONE, off)
+    rows = {}
+    frontier = [lam]
+    while frontier:
+        mu = frontier.pop()
+        if mu in rows:
+            continue
+        row = packed_row(mu, n)
+        if row.terms.get(mu) != one:
+            raise ConsistencyError("involution row of %r has a bad diagonal" % (mu,))
+        rows[mu] = row
+        frontier.extend(nu for nu in row.terms if nu not in rows)
+
+    # solve top-down; acc[nu] holds bar of the right-hand side,
+    # sum p_mu * bar(r_{mu,nu}), and bound is the running bound on its coefficients
+    ml = {mu: min_rep_length(mu, n) for mu in rows}
+    order = sorted(rows, key=ml.__getitem__, reverse=True)
+    if order[0] != lam:
+        raise ConsistencyError("support closure of %r is not topped by it" % (lam,))
+    coeffs = {lam: ONE}
+    acc = {}
+    bound = 0
+    for mu in order:
+        if mu == lam:
+            p = ONE
+        else:
+            x = acc.get(mu)
+            if x is None:
+                continue
+            packed.check_bound(bound, "KL solve of %r at rank %d" % (lam, n))
+            p = skew_positive_part(packed.decode(x, off).bar())
+            if not p:
+                continue
+            coeffs[mu] = p
+        row = rows[mu]
+        bound += l1(p) * row.bound
+        pv = packed.encode(p, 0)
+        for nu, r in row.terms.items():
+            if nu == mu:
+                continue
+            if ml[nu] >= ml[mu]:
+                raise ConsistencyError(
+                    "involution row of %r is not strictly triangular at %r" % (mu, nu)
+                )
+            acc[nu] = acc.get(nu, 0) + pv * r
+
+    el = ModuleElement(n, coeffs)
+    for mu, c in el.terms.items():
+        if mu == lam:
+            continue
+        if not c.is_q_free() or c.min_v_exp() < 1:
+            raise ConsistencyError(
+                "KL coefficient of %r in M^_%r leaves vZ[v]: %r" % (mu, lam, c)
+            )
+
+    # self-duality from scratch, compared packed under a bound that makes it exact
+    image = {}
+    bound = 0
+    for mu, p in el.terms.items():
+        row = rows[mu]
+        bound += l1(p) * row.bound
+        pv = packed.encode(p, 0)
+        for nu, r in row.terms.items():
+            image[nu] = image.get(nu, 0) + pv * r
+    packed.check_bound(bound, "self-duality recheck of M^_%r at rank %d" % (lam, n))
+    want = {mu: packed.encode(c.bar(), off) for mu, c in el.terms.items()}
+    if {nu: x for nu, x in image.items() if x} != want:
+        raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
+    return el
+
+
+def d_basis_word(lam, n):
+    """d(M^lambda) straight from the Phibar word over the column word.
+
+    The last Phibar runs on ModuleElement; tests compare it with d_basis.
+    """
+    if not lam:
+        return ModuleElement.basis((), n)
+    star, m, _ = lambda_star(lam)
+    return d_basis(star, n).phibar_op(m)
+
+
+def distinct_permutations(items, k=None):
+    """The distinct orderings of k entries of items, by brute force over all orderings."""
+    return sorted(set(itertools.permutations(items, k)))

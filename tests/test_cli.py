@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -104,6 +106,28 @@ def test_internal_failure_is_exit_3(runner, monkeypatch):
     monkeypatch.setattr(cli, "kostka", boom)
     r = runner.invoke(cli.main, ["kostka", "--lambda", "2", "--mu", "1,1"])
     assert r.exit_code == 3
+
+
+def test_scan_internal_failure_is_exit_3_over_a_violation(runner, monkeypatch):
+    # one pair fails a certificate and another reads as a positivity
+    # violation: the scan finishes, reports both, and exits 3
+    module = sys.modules["qtkostka.kostka"]
+    real = module.kostka
+
+    def flaky(lam, mu):
+        if (lam, mu) == ((1, 1), (2,)):
+            raise ConsistencyError("injected failure")
+        result = real(lam, mu)
+        if (lam, mu) == ((2,), (2,)):
+            return dataclasses.replace(result, value=-result.value)
+        return result
+
+    monkeypatch.setattr(module, "kostka", flaky)
+    r = runner.invoke(cli.main, ["scan", "--max-weight", "2", "--no-marked"])
+    assert r.exit_code == 3
+    records = [json.loads(line) for line in r.output.splitlines() if line.startswith("{")]
+    assert {v["check"] for v in records} >= {"internal", "kostka_positivity"}
+    assert "pairs=13 violations=%d " % len(records) in r.output
 
 
 def test_cache_round_trip(runner, tmp_path, monkeypatch):

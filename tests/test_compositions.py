@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from qtkostka.compositions import (
     MarkedDiagram,
     all_markings,
     arm,
+    arrangements,
     box_enumeration,
     boxes,
     c_word,
@@ -20,6 +22,7 @@ from qtkostka.compositions import (
     marking_stats,
     omega_star,
     omega_star_inv,
+    orbit,
     pad,
     parse_composition,
     parse_marked,
@@ -147,6 +150,27 @@ def test_string_forms():
     assert d.shape == (2, 2, 1) and d.marked == frozenset({(1, 2), (2, 2)})
     assert parse_marked(format_marked(d)) == d
     assert parse_marked("2,1|") == MarkedDiagram((2, 1), frozenset())
+
+
+def test_arrangements_match_distinct_permutations():
+    tails = {
+        pad(lam, n)[m:]
+        for n in range(1, 7)
+        for d in range(5)
+        for lam in compositions_of(d, n)
+        for m in range(n + 1)
+    }
+    for tail in tails:
+        assert arrangements(tail) == oracles.distinct_permutations(tail), tail
+        for k in range(len(tail) + 1):
+            assert arrangements(tail, k) == oracles.distinct_permutations(tail, k), (tail, k)
+
+
+def test_orbit_keys():
+    # the whole orbit of (2,1) past m=1 at rank 4, with inversion offsets
+    assert sorted(orbit((2, 1), 1, 4)) == [((2, 0, 0, 1), 2), ((2, 0, 1), 1), ((2, 1), 0)]
+    # its representatives for m=2 only
+    assert sorted(orbit((2, 1), 1, 4, 1)) == [((2, 0, 1), 1), ((2, 1), 0)]
 
 
 def test_compositions_of():

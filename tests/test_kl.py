@@ -1,14 +1,15 @@
-"""Tests for the self-dual basis and its triangular solve."""
+"""Tests for the self-dual basis and its triangular solve in the orbit basis."""
 
 import pytest
 
+import oracles
 import qtkostka
-from qtkostka import kl as kl_module, packed
+from qtkostka import kl as kl_module, packed, parabolic
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
-from qtkostka.bruhat import preceq
-from qtkostka.compositions import compositions_of, partition_length
+from qtkostka.bruhat import min_rep_length, preceq
+from qtkostka.compositions import canonicalize, compositions_of, pad, partition_length
 from qtkostka.kl import kl_element, skew_positive_part
-from qtkostka.kostka import msym_expand
+from qtkostka.kostka import msym_basis, msym_expand
 from qtkostka.parabolic import ModuleElement, bar_d, packed_row
 
 T = CoeffPoly.t_power(1)
@@ -86,8 +87,6 @@ def test_head_symmetry():
         assert exp.m == m and exp.rank == 4
         total = ModuleElement.zero(4)
         # the expansion is faithful: orbit sums with the stored coefficients
-        from qtkostka.kostka import msym_basis
-
         for tau, c in exp.terms.items():
             total = total + msym_basis(tau, m, 4).scale(c)
         assert total == el, lam
@@ -104,62 +103,187 @@ def test_partition_bottom_is_plain():
 def cold():
     """Every memo cleared before and after, so corrupted rows do not leak."""
     qtkostka.clear_caches()
+    oracles.kl_solve_full.cache_clear()
     yield
     qtkostka.clear_caches()
+    oracles.kl_solve_full.cache_clear()
+
+
+def _differential_cases():
+    for d in range(5):
+        for lam in compositions_of(d, 4):
+            for n in range(max(len(lam), 2), (8 if d <= 3 else 7) + 1):
+                yield lam, n
+    yield (3, 1, 1), 9
+    yield (3, 1, 1), 10
+
+
+def test_quotient_solve_matches_the_full_rank_solve(cold):
+    # every expansion that kostka pairs, and the full element, against the
+    # solve over the whole rank-n support
+    count = 0
+    for lam, n in _differential_cases():
+        want = oracles.kl_solve_full(lam, n)
+        got = kl_element(lam, n)
+        assert got.element == want, (lam, n)
+        for m in range(partition_length(lam), n + 1):
+            assert got.expansion(m) == msym_expand(want, m).terms, (lam, m, n)
+            count += 1
+    assert count > 1500
+
+
+def test_expansion_below_the_symmetry_index_is_refused():
+    with pytest.raises(ValueError):
+        kl_element((0, 1), 3).expansion(0)
+
+
+def test_orbit_rows_are_the_bar_involution_in_the_orbit_basis():
+    # R[tau] is d(M^{tau|m}) expanded over the orbit sums
+    count = 0
+    for n in (4, 5, 6):
+        for d in range(4):
+            for tau in compositions_of(d, n):
+                for m in range(partition_length(tau), n + 1):
+                    want = msym_expand(bar_d(msym_basis(tau, m, n)), m).terms
+                    assert kl_module._orbit_row(tau, m, n) == want, (tau, m, n)
+                    count += 1
+    assert count > 400
+
+
+def test_cold_solve_builds_few_involution_rows(cold):
+    # the full-rank solve built all 1847 rows of the support closure
+    kl_element((3, 1, 1), 10)
+    assert len(parabolic._D_CACHE) < 100
 
 
 def test_narrowed_packing_width_trips_the_guard(cold, monkeypatch):
-    # the solve stops at the first node whose running bound does not fit,
-    # before decoding it, not only at the final recheck
+    # an orbit sum A_sigma whose bound does not fit is refused before its decode
     monkeypatch.setattr(packed, "WIDTH", 8)
-    with pytest.raises(ConsistencyError, match=r"KL solve of .* 8-bit packing width"):
-        kl_element((3, 1), 6)
+    with pytest.raises(ConsistencyError, match=r"orbit row of .* 8-bit packing width"):
+        kl_element((4,), 8)
+
+
+def _bottom(tau, m, n):
+    p = pad(tau, n)
+    return canonicalize(p[:m] + tuple(sorted(p[m:])))
+
+
+def _clear_solve_memos():
+    kl_module._orbit_row.cache_clear()
+    kl_module._quotient_solve.cache_clear()
 
 
 def _corrupt_each_row_entry(lam, n):
-    """Yield once per off-diagonal entry of every row in the solve's support.
+    """Yield once per off-diagonal entry of every involution row the solve reads.
 
-    During each yield that entry carries an extra +1 at v^0.  Only the KL
-    solve's memo is cleared, so the corrupted row stays in the row memo and
-    the next kl_element call solves again over it.
+    Those are the rows of the bottom keys kappa0 of the representatives with
+    a nonzero coefficient.  During each yield that entry carries an extra +1
+    at v^0.  Only the solve's memos are cleared, so the corrupted row stays
+    in the row memo and the next kl_element call solves again over it.
     """
-    el = kl_element(lam, n).element
-    off = packed.offset(sum(lam), n)
-    for mu in sorted(el.terms):
-        row = packed_row(mu, n)
+    el = kl_element(lam, n)
+    for tau in sorted(el.coeffs):
+        bottom = _bottom(tau, el.m, n)
+        row = packed_row(bottom, n)
         for nu in sorted(row.terms):
-            if nu == mu:
+            if nu == bottom:
                 continue
             saved = row.terms[nu]
-            row.terms[nu] = saved + (1 << (packed.WIDTH * off))
-            kl_module._kl_solve.cache_clear()
+            row.terms[nu] = saved + (1 << (packed.WIDTH * packed.offset(sum(lam), n)))
+            _clear_solve_memos()
             try:
-                yield mu, nu
+                yield tau, nu
             finally:
                 row.terms[nu] = saved
-    kl_module._kl_solve.cache_clear()
-    assert kl_element(lam, n).element == el
+    _clear_solve_memos()
+    assert kl_element(lam, n) == el
 
 
-CAUGHT = "not strictly triangular|not bar-skew|not self-dual"
+# lambdas with symmetry index m0 = 0, 1 and 2
+CORRUPTED = [((3, 1), 5), ((1, 2), 5), ((1, 1, 2), 5), ((1, 0, 2), 5), ((2, 0, 1), 5)]
+CAUGHT = "bad diagonal|not strictly triangular|does not divide|not bar-skew|not self-dual"
 
 
 def test_corrupted_row_entry_is_caught(cold):
-    count = 0
-    for mu, nu in _corrupt_each_row_entry((2, 1), 4):
-        with pytest.raises(ConsistencyError, match=CAUGHT):
-            kl_element((2, 1), 4)
-        count += 1
-    assert count > 5
+    for lam, n in CORRUPTED:
+        count = 0
+        for tau, nu in _corrupt_each_row_entry(lam, n):
+            with pytest.raises(ConsistencyError, match=CAUGHT):
+                kl_element(lam, n)
+            count += 1
+        assert count > 5, lam
+
+
+def _positive_part(g):
+    return CoeffPoly({e: c for e, c in g.terms.items() if e[0] > 0})
 
 
 def test_self_duality_recheck_catches_what_the_skew_check_would(cold, monkeypatch):
     # with the per-node skew certificate switched off, the from-scratch
     # self-duality recheck alone still rejects every corrupted row entry
-    def positive_part(g):
-        return CoeffPoly({e: c for e, c in g.terms.items() if e[0] > 0})
+    # that the skew check caught
+    for lam, n in CORRUPTED:
+        count = 0
+        for tau, nu in _corrupt_each_row_entry(lam, n):
+            with pytest.raises(ConsistencyError) as caught:
+                kl_element(lam, n)
+            if "not bar-skew" not in str(caught.value):
+                continue
+            _clear_solve_memos()
+            with monkeypatch.context() as patch:
+                patch.setattr(kl_module, "skew_positive_part", _positive_part)
+                with pytest.raises(ConsistencyError, match="not self-dual"):
+                    kl_element(lam, n)
+            count += 1
+        assert count > 0, lam
 
-    monkeypatch.setattr(kl_module, "skew_positive_part", positive_part)
-    for mu, nu in _corrupt_each_row_entry((2, 1), 4):
-        with pytest.raises(ConsistencyError, match="not self-dual"):
-            kl_element((2, 1), 4)
+
+def test_wrong_s_factor_is_caught(cold, monkeypatch):
+    # s_tau off by a factor v at one representative below the top
+    real = kl_module._s_factor
+
+    def wrong(tau, m, n):
+        s = real(tau, m, n)
+        return s * V if tau == (1, 1, 1) else s
+
+    monkeypatch.setattr(kl_module, "_s_factor", wrong)
+    with pytest.raises(ConsistencyError):
+        kl_element((2, 1), 4)
+
+
+def test_off_by_one_tail_inversions_are_caught(cold, monkeypatch):
+    # l(kappa) one too large at every key off its orbit's representative
+    real = kl_module._tail_inversions
+
+    def off_by_one(tail):
+        return real(tail) + (list(tail) != sorted(tail, reverse=True))
+
+    monkeypatch.setattr(kl_module, "_tail_inversions", off_by_one)
+    with pytest.raises(ConsistencyError):
+        kl_element((2, 1), 4)
+
+
+def test_division_remainder_is_caught(cold, monkeypatch):
+    # with s_tau scaled by 1 + 2v, bar(s_tau) leaves a remainder on the diagonal
+    real = kl_module._s_factor
+    monkeypatch.setattr(
+        kl_module, "_s_factor", lambda tau, m, n: real(tau, m, n) * (ONE + V.scale_int(2))
+    )
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        kl_element((2, 1), 4)
+
+
+def test_corrupted_orbit_row_shape_is_caught(cold):
+    # an orbit row with an entry above its diagonal, or a diagonal other than 1
+    lam, n = (2, 1), 4
+    el = kl_element(lam, n)
+    below = min(el.coeffs, key=lambda tau: min_rep_length(tau, n))
+    for corrupt, message in [
+        (lambda row: row.__setitem__(lam, V), "not strictly triangular"),
+        (lambda row: row.__setitem__(below, V), "bad diagonal"),
+    ]:
+        _clear_solve_memos()
+        corrupt(kl_module._orbit_row(below, el.m, n))
+        kl_module._quotient_solve.cache_clear()
+        with pytest.raises(ConsistencyError, match=message):
+            kl_element(lam, n)

@@ -10,7 +10,8 @@ import pytest
 
 import qtkostka
 
-from qtkostka.coeffs import CoeffPoly, NonExactDivision, ONE, V, ZERO
+from qtkostka.cache import cache_path
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
 from qtkostka.compositions import (
     MarkedDiagram,
     all_markings,
@@ -53,6 +54,8 @@ def test_msym_basis():
     x = msym_basis((2, 1), 1, 3)
     assert x.support() == {(2, 1), (2, 0, 1)}
     assert x.coefficient((2, 1)) == ONE
+    # one term per distinct arrangement of the tail, not per permutation
+    assert len(msym_basis((1,), 0, 12).terms) == 12
 
 
 def _msym_elements(max_weight):
@@ -295,6 +298,46 @@ def test_scan_fully_cached_starts_no_pool(tmp_path, monkeypatch):
     first.pop("timings")
     again.pop("timings")
     assert again == first
+
+
+def _fail_one_pair(monkeypatch, pair):
+    """Make kostka raise ConsistencyError on one (lambda, mu) seen by scan."""
+    module = sys.modules["qtkostka.kostka"]
+    real = module.kostka
+
+    def flaky(lam, mu):
+        if (lam, mu) == pair:
+            raise ConsistencyError("injected failure")
+        return real(lam, mu)
+
+    monkeypatch.setattr(module, "kostka", flaky)
+
+
+def test_scan_records_an_internal_failure_and_finishes(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    _fail_one_pair(monkeypatch, ((1, 1), (2,)))
+    module = sys.modules["qtkostka.kostka"]
+    real_marked = module.marked_kostka
+
+    def flaky_marked(lam, d):
+        if lam == (2,) and d.shape == (1, 1) and not d.marked:
+            raise NonExactDivision
+        return real_marked(lam, d)
+
+    monkeypatch.setattr(module, "marked_kostka", flaky_marked)
+    rep = scan(2, cache_dir=str(cache))
+    assert rep["violations"] == [
+        {"check": "internal", "lambda": "1,1", "mu": "2", "value": None,
+         "detail": "ConsistencyError: injected failure"},
+        {"check": "internal", "lambda": "2", "mu": "1,1", "value": None,
+         "detail": "NonExactDivision", "marking": "1,1|"},
+    ]
+    assert rep["pairs"] == 13
+    # the failed value is not cached, so a rerun without the fault computes it
+    assert not os.path.exists(cache_path(str(cache), "kostka", {"lambda": "1,1", "mu": "2"}))
+    monkeypatch.undo()
+    again = scan(2, cache_dir=str(cache))
+    assert again["violations"] == [] and again["pairs"] == 14
 
 
 def test_import_loads_no_process_pool_machinery():

@@ -45,7 +45,12 @@ def cache_put(root, kind, key, payload):
     path = cache_path(root, kind, key)
     if os.path.exists(path):
         return False
-    data = {"format": FORMAT, "kind": kind, "key": key, "payload": payload}
+    # dumps encodes in C in one call; dump would feed the file chunk by chunk
+    # from the pure-Python iterencode
+    text = json.dumps(
+        {"format": FORMAT, "kind": kind, "key": key, "payload": payload},
+        sort_keys=True, separators=(",", ":"),
+    )
     shard = os.path.dirname(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
@@ -55,7 +60,7 @@ def cache_put(root, kind, key, payload):
         fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -220,6 +220,8 @@ class CoeffPoly:
             raise NonExactDivision("division by zero")
         if not self.terms:
             return CoeffPoly.zero()
+        if len(d.terms) == 1 and d.terms.get((0, 0)) == 1:
+            return self  # instances are immutable; a memoized quotient then costs no copy
         sv = min(a for (a, _) in self.terms)
         sq = min(b for (_, b) in self.terms)
         dv = min(a for (a, _) in d.terms)

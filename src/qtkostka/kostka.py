@@ -4,8 +4,8 @@ K_{lambda,mu}(q,t) is the stable scalar product of the Kazhdan-Lusztig
 element over lambda with the Macdonald element over mu.  Both sides are
 expanded in the m-symmetric basis M^{tau|m}, the pairing divides the
 Macdonald coefficients by the Hall-Littlewood factor b of the partition
-tail (an exact division, so integrality is retested on every call), and
-the value is certified stable under a rank bump.
+tail (an exact division, checked once per coefficient of each memoized
+expansion), and the value is certified stable under a rank bump.
 
 The module also carries the independent cross-check routes: Schur
 polynomials by tableau enumeration in place of the KL solver, the charge
@@ -75,9 +75,10 @@ def msym_expand(x, m):
     """Expand an m-symmetric element over the basis M^{tau|m}.
 
     The certificate is H_i x = v^-1 x for every i > m, one two-term block
-    at a time (ModuleElement.first_asymmetry).  The coefficient is read off
-    at the representative tau, whose tail p[m:] is weakly decreasing
-    (partition_length(tau) <= m).  An orbit pass would check nothing more:
+    at a time, and the coefficient is read off at the representative tau,
+    whose padded tail p[m:] is weakly decreasing (partition_length(tau) <=
+    m), i.e. which has no ascent at any i > m: ModuleElement.msym_read does
+    both in one pass over the terms.  An orbit pass would check nothing more:
 
     - s_{m+1}..s_{n-1} generate the tail permutations, and the block check
       puts s_i kappa in the support whenever kappa_i != kappa_{i+1}: every
@@ -89,10 +90,10 @@ def msym_expand(x, m):
     n = x.rank
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    i = x.first_asymmetry(m)
+    i, reps = x.msym_read(m)
     if i is not None:
         raise MSymmetryViolation("H_%d does not act by v^-1; not %d-symmetric" % (i, m))
-    return MSymExpansion(m, n, {k: c for k, c in x.terms.items() if partition_length(k) <= m})
+    return MSymExpansion(m, n, reps)
 
 
 def msym_basis(tau, m, n):
@@ -105,21 +106,29 @@ def msym_basis(tau, m, n):
     return ModuleElement(n, {key: CoeffPoly.v_power(e) for key, e in orbit(tau, m, n)})
 
 
-def pair(x, y):
+def pair(x, y, quotients=None):
     """The stable scalar product of two m-symmetric expansions.
 
     Divides the second argument's coefficients by b(tail); the division
     must be exact, otherwise the inputs were not genuinely stable-paired
-    objects and NonExactDivision propagates.
+    objects and NonExactDivision propagates.  quotients, when given, keeps
+    the quotients of y across calls: a memoized y comes with its own dict,
+    so each of its coefficients is divided, and checked exact, once, and
+    later pairings read the quotient back and only multiply.
     """
     if x.m != y.m or x.rank != y.rank:
         raise ValueError("expansions live at different (m, rank)")
+    if quotients is None:
+        quotients = {}
     out = ZERO
     for tau, xc in x.terms.items():
-        yc = y.terms.get(tau)
-        if yc is None:
-            continue
-        out = out + xc * yc.exact_div(CoeffPoly.b_partition(tau[x.m :]))
+        q = quotients.get(tau)
+        if q is None:
+            yc = y.terms.get(tau)
+            if yc is None:
+                continue
+            q = quotients[tau] = yc.exact_div(CoeffPoly.b_partition(tau[x.m :]))
+        out = out + xc * q
     return out
 
 
@@ -145,12 +154,13 @@ def _kl_expansion(lam, m, n):
 
 @memoized
 def _e_expansion(mu, m, n):
-    return msym_expand(e_tilde(mu, n).element, m)
+    """The expansion of E~_mu, with the dict of its quotients for pair."""
+    return msym_expand(e_tilde(mu, n).element, m), {}
 
 
 @memoized
 def _marked_expansion(d, m, n):
-    return msym_expand(marked_e(d, n), m)
+    return msym_expand(marked_e(d, n), m), {}
 
 
 def _ranks(lam, mu):
@@ -173,8 +183,8 @@ def _kostka(lam, mu):
     if weight(lam) != weight(mu):
         return KostkaResult(lam, mu, ZERO, 0, 2, True, True)
     m, n = _ranks(lam, mu)
-    value = pair(_kl_expansion(lam, m, n), _e_expansion(mu, m, n))
-    bumped = pair(_kl_expansion(lam, m, n + 1), _e_expansion(mu, m, n + 1))
+    value = pair(_kl_expansion(lam, m, n), *_e_expansion(mu, m, n))
+    bumped = pair(_kl_expansion(lam, m, n + 1), *_e_expansion(mu, m, n + 1))
     if value != bumped:
         raise ConsistencyError(
             "K_{%r,%r} differs between ranks %d and %d" % (lam, mu, n, n + 1)
@@ -213,7 +223,7 @@ def marked_kostka(lam, d):
         raise ValueError("weights differ: %r vs %r" % (lam, shape))
     m, n = _ranks(lam, shape)
     _, l_stat = marking_stats(d)
-    value = pair(_kl_expansion(lam, m, n), _marked_expansion(d, m, n))
+    value = pair(_kl_expansion(lam, m, n), *_marked_expansion(d, m, n))
     value = value.shift(v_exp=2 * l_stat)
     if not value.is_q_free():
         raise ConsistencyError("marked Kostka of %r picked up q: %r" % (shape, value))
@@ -293,7 +303,7 @@ def kostka_via_schur(lam, mu):
         return ZERO
     m, n = _ranks(lam, mu)
     x = msym_expand(to_module(schur_z(lam, n)), m)
-    return pair(x, _e_expansion(mu, m, n))
+    return pair(x, *_e_expansion(mu, m, n))
 
 
 def _charge(word):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, VINV, V
+from .coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, VINV, V, ZERO
 from .compositions import (
     all_markings,
     arm,
@@ -62,8 +62,7 @@ def _e_element(lam, n):
         _E_CACHE[(n, ())] = x
     for shape in reversed(chain):
         star, m, a = lambda_star(shape)
-        factor = CoeffPoly.monomial(1, 2 * a, shape[m - 1])
-        x = x.phi_op(m) - x.phibar_op(m).scale(factor)
+        x = x.letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, shape[m - 1]))
         _E_CACHE[(n, shape)] = x
     return _E_CACHE[key]
 
@@ -114,10 +113,7 @@ def _marked_e(shape, marked, n):
     order, cols = box_enumeration(shape)
     x = ModuleElement.basis((), n)
     for s, c in zip(order, cols):
-        if s in marked:
-            x = x.phibar_op(c).scale(MINUS_ONE)
-        else:
-            x = x.phi_op(c)
+        x = x.letters(c, ZERO, MINUS_ONE) if s in marked else x.letters(c, ONE, ZERO)
     return x
 
 
@@ -217,7 +213,7 @@ def symmetric_j(mu, n):
     for a in range(1, n - m + 1):
         denom = denom * (ONE - CoeffPoly.t_power(a))
     j_mod = ModuleElement(n, {k: c.exact_div(denom) for k, c in numer.terms.items()})
-    if j_mod.first_asymmetry(0) is not None:
+    if j_mod.msym_read(0)[0] is not None:
         raise ConsistencyError("J_%r is not symmetric at rank %d" % (mu, n))
     jz = from_module(j_mod)
     want = ONE

@@ -13,7 +13,9 @@ inverse generator is H_i + (v - v^{-1}) by the quadratic relation.
 
 The operator words Phi_m = H_m...H_{n-1} omega, Phibar_m with inverse factors,
 and Z_i = H_i^{-1}...H_{n-1}^{-1} omega H_1...H_{i-1} are always applied
-right to left (rightmost factor first).
+right to left (rightmost factor first).  The letters Phi_m and Phibar_m are
+applied in one pass over memoized q-free rows, the images of basis elements
+(ModuleElement.letters); the rows are built by the one generator loop.
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
@@ -28,7 +30,7 @@ Every memo here comes from memo.py, which also clears them.
 from __future__ import annotations
 
 from . import packed
-from .coeffs import ONE, V, VINV, V_MINUS_VINV
+from .coeffs import CoeffPoly, ONE, V, VINV, V_MINUS_VINV, ZERO
 from .compositions import (
     canonicalize,
     format_composition,
@@ -46,6 +48,9 @@ _VINV_MINUS_V = -V_MINUS_VINV
 # (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
 _SWAP_MEMO = table()
 _OMEGA_MEMO = table()
+# one shared tuple per key that letters assembles, so the terms of memoized
+# elements do not each hold a copy
+_KEY_MEMO = table()
 
 
 def _swap_entry(lam, i):
@@ -121,26 +126,44 @@ class ModuleElement(SparseVector):
                     _add_term(acc, lam, c * echo)
         return self._raw(acc)
 
-    def first_asymmetry(self, m):
-        """The least i in (m, n) at which H_i does not act by v^-1, or None.
+    def msym_read(self, m):
+        """One pass over the terms: (i, reps) for the m-symmetric read-off.
 
-        H_i keeps each block span{M^kappa, M^{s_i kappa}} and scales an equal
-        pair by v^-1; on a block with an ascent kappa, both coordinates of
-        H_i y = v^-1 y say c_{s_i kappa} = v^-1 c_kappa.  So every key with
-        case != 0 needs c_{s_i kappa} = v^{-case} c_kappa: a missing partner fails.
+        i is the least index in (m, n) at which H_i does not act by v^-1, or
+        None.  H_i keeps each block span{M^kappa, M^{s_i kappa}} and scales
+        an equal pair by v^-1; on a block with an ascent kappa (kappa_i <
+        kappa_{i+1}), both coordinates of H_i y = v^-1 y state the same
+        equation c_{s_i kappa} = v^-1 c_kappa.  So the coefficients are
+        compared at the ascent key only, and a descent key needs only its
+        ascent partner to be present: if the partner is there, the ascent's
+        comparison covers the block, and if not, no ascent sees the block.
+
+        reps holds the terms at the representatives, the keys whose padded
+        tail p[m:] is weakly decreasing: those with no ascent at any i > m.
         """
         terms = self.terms
         memo = _SWAP_MEMO
-        for i in range(m + 1, self.rank):
-            for lam, c in terms.items():
+        idx = range(m + 1, self.rank)
+        first = None
+        reps = {}
+        for lam, c in terms.items():
+            rep = True
+            for i in idx:
                 key = (lam, i)
                 hit = memo.get(key)
                 if hit is None:
                     hit = memo[key] = _swap_entry(lam, i)
                 case, swapped = hit
-                if case and terms.get(swapped) != c.shift(v_exp=-case):
-                    return i
-        return None
+                if case == 1:
+                    rep = False
+                    broken = terms.get(swapped) != c.shift(v_exp=-1)
+                else:
+                    broken = case and swapped not in terms
+                if broken and (first is None or i < first):
+                    first = i
+            if rep:
+                reps[lam] = c
+        return first, reps
 
     def omega(self):
         """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
@@ -157,23 +180,54 @@ class ModuleElement(SparseVector):
 
     def phi_op(self, m):
         """Phi_m = H_m ... H_{n-1} omega, omega applied first."""
-        n = self.rank
-        if not 1 <= m <= n:
-            raise ValueError("m out of range")
-        x = self.omega()
-        for i in range(n - 1, m - 1, -1):
-            x = x.hi(i)
-        return x
+        return self.letters(m, ONE, ZERO)
 
     def phibar_op(self, m):
         """Phibar_m = H_m^{-1} ... H_{n-1}^{-1} omega, omega applied first."""
+        return self.letters(m, ZERO, ONE)
+
+    def letters(self, m, a, b):
+        """a Phi_m(x) + b Phibar_m(x) for scalars a, b, in one accumulation.
+
+        Both letters are linear and leave q alone, so Phi_m(x) = sum_kappa
+        x_kappa Phi_m(M^kappa), each coefficient scaled once and spread over
+        the memoized q-free row of its key.  With p = omega*(kappa), whose
+        last entry is positive, Phi_m(M^kappa) = H_m ... H_{n-1} M^p, and
+        these generators only touch positions m..n: the row is the prefix
+        p[:m-1] followed by the row of the word p[m-1:] (_letter_row).
+        """
         n = self.rank
         if not 1 <= m <= n:
             raise ValueError("m out of range")
-        x = self.omega()
-        for i in range(n - 1, m - 1, -1):
-            x = x.hi_inv(i)
-        return x
+        omega = _OMEGA_MEMO
+        shared = _KEY_MEMO
+        acc = {}
+        for barred, f in ((False, a), (True, b)):
+            if not f:
+                continue
+            for lam, c in self.terms.items():
+                key = (lam, n)
+                p = omega.get(key)
+                if p is None:
+                    p = omega[key] = omega_star(lam, n)
+                prefix = p[: m - 1]
+                ct = (c * f).terms
+                it = iter(_letter_row(p[m - 1 :], barred))
+                for u, e, k in zip(it, it, it):
+                    nu = prefix + u
+                    t = acc.get(nu)
+                    if t is None:
+                        nu = shared.setdefault(nu, nu)
+                        t = acc[nu] = {}
+                    for (va, qb), y in ct.items():
+                        vq = (va + e, qb)
+                        t[vq] = t.get(vq, 0) + k * y
+        out = {}
+        for nu, t in acc.items():
+            c = CoeffPoly(t)
+            if c:
+                out[nu] = c
+        return self._raw(out)
 
     def z_op(self, i):
         """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
@@ -187,6 +241,41 @@ class ModuleElement(SparseVector):
         for j in range(n - 1, i - 1, -1):
             x = x.hi_inv(j)
         return x
+
+
+# (word, barred) -> the row H_1 ... H_{L-1} M^word over a word of length L
+# with a positive last entry (inverse generators if barred), as the flat
+# tuple (u_1, e_1, c_1, u_2, ...) of its q-free terms c v^e M^u
+_LETTER_MEMO = table()
+
+
+def _letter_row(word, barred):
+    """The row of one letter on a word, by Phi_m = H_m Phi_{m+1} read locally.
+
+    A one-entry word is its own row (Phi_n = omega, which letters has
+    applied).  Otherwise H_2 ... H_{L-1} leave the first entry alone, so the
+    row is H_1 (or H_1^{-1}) applied to word[0] followed by the row of
+    word[1:].
+    """
+    key = (word, barred)
+    row = _LETTER_MEMO.get(key)
+    if row is not None:
+        return row
+    if len(word) == 1:
+        row = (word, 0, 1)
+    else:
+        head = word[:1]
+        it = iter(_letter_row(word[1:], barred))
+        terms = {}
+        for u, e, k in zip(it, it, it):
+            terms.setdefault(head + u, {})[(e, 0)] = k
+        x = ModuleElement.zero(len(word))._raw({nu: CoeffPoly(t) for nu, t in terms.items()})
+        x = x.hi_inv(1) if barred else x.hi(1)
+        row = tuple(
+            z for nu, c in x.terms.items() for (e, _), k in c.terms.items() for z in (nu, e, k)
+        )
+    _LETTER_MEMO[key] = row
+    return row
 
 
 # -- monomial images under the standard embedding --------------------------------

@@ -10,7 +10,9 @@ representatives from exhaustive minimization over the finite group.
 
 The rest are the library's former routes, kept as differential references:
 the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
-straight from its operator word, and distinct permutations by brute force.
+straight from its operator word, the Phi/Phibar letters as a chain of
+generator passes over the whole element, with E~ and the marked E~ built
+from them, and distinct permutations by brute force.
 """
 
 import itertools
@@ -18,8 +20,8 @@ from functools import lru_cache
 
 from qtkostka import packed
 from qtkostka.bruhat import min_rep_length
-from qtkostka.coeffs import ConsistencyError, ONE
-from qtkostka.compositions import lambda_star, weight
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE
+from qtkostka.compositions import box_enumeration, lambda_star, weight
 from qtkostka.kl import skew_positive_part
 from qtkostka.parabolic import ModuleElement, d_basis, packed_row
 
@@ -271,6 +273,40 @@ def d_basis_word(lam, n):
         return ModuleElement.basis((), n)
     star, m, _ = lambda_star(lam)
     return d_basis(star, n).phibar_op(m)
+
+
+def letter_chain(x, m, barred):
+    """Phi_m(x), or Phibar_m(x) if barred, as n - m + 1 passes over x.
+
+    omega first, then H_{n-1} ... H_m (their inverses if barred), each pass
+    a new element.
+    """
+    n = x.rank
+    if not 1 <= m <= n:
+        raise ValueError("m out of range")
+    y = x.omega()
+    for i in range(n - 1, m - 1, -1):
+        y = y.hi_inv(i) if barred else y.hi(i)
+    return y
+
+
+def e_tilde_chain(lam, n):
+    """E~_lambda at rank n by the star-chain recursion over letter_chain."""
+    if not lam:
+        return ModuleElement.basis((), n)
+    star, m, a = lambda_star(lam)
+    x = e_tilde_chain(star, n)
+    factor = CoeffPoly.monomial(1, 2 * a, lam[m - 1])
+    return letter_chain(x, m, False) - letter_chain(x, m, True).scale(factor)
+
+
+def marked_e_chain(d, n):
+    """The marked E~ of d at rank n as its word of letter_chain letters."""
+    order, cols = box_enumeration(d.shape)
+    x = ModuleElement.basis((), n)
+    for s, c in zip(order, cols):
+        x = letter_chain(x, c, True).scale(MINUS_ONE) if s in d.marked else letter_chain(x, c, False)
+    return x
 
 
 def distinct_permutations(items, k=None):

@@ -245,7 +245,7 @@ def test_criterion_10_rank_stability():
             m = max(partition_length(lam), len(mu))
             n = max(m + weight(lam) + 1, 2)
             want = kostka(lam, mu).value  # already certified at ranks n and n+1
-            return pair(_kl_expansion(lam, m, n + 2), _e_expansion(mu, m, n + 2)) == want
+            return pair(_kl_expansion(lam, m, n + 2), *_e_expansion(mu, m, n + 2)) == want
 
         for d in range(4):
             for lam in compositions_of(d, 3):

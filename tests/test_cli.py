@@ -130,6 +130,22 @@ def test_scan_internal_failure_is_exit_3_over_a_violation(runner, monkeypatch):
     assert "pairs=13 violations=%d " % len(records) in r.output
 
 
+def test_cache_entry_bytes_are_the_canonical_encoding(tmp_path):
+    # perfbench reads entries back and other checkouts share a cache
+    # directory, so the bytes of an entry are pinned
+    from qtkostka.cache import FORMAT, cache_get, cache_path, cache_put
+
+    root = str(tmp_path)
+    key = {"lambda": "2,1", "mu": "1,2"}
+    payload = {"value": [{"c": "-1", "q": 1, "v": 2}]}
+    assert cache_put(root, "kostka", key, payload)
+    want = {"format": FORMAT, "kind": "kostka", "key": key, "payload": payload}
+    with open(cache_path(root, "kostka", key), "rb") as fh:
+        assert fh.read() == json.dumps(want, sort_keys=True, separators=(",", ":")).encode()
+    assert not cache_put(root, "kostka", key, {"value": []})
+    assert cache_get(root, "kostka", key) == payload
+
+
 def test_cache_round_trip(runner, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("KOSTKA_CACHE", str(cache))

@@ -86,7 +86,7 @@ def test_msym_basis_passes_the_block_check():
         for d in range(5):
             for tau in compositions_of(d, n):
                 for m in range(partition_length(tau), n + 1):
-                    assert msym_basis(tau, m, n).first_asymmetry(m) is None, (tau, m, n)
+                    assert msym_basis(tau, m, n).msym_read(m)[0] is None, (tau, m, n)
 
 
 def test_msym_expand_rejects_asymmetric():
@@ -114,10 +114,103 @@ def test_msym_expand_catches_every_orbit_corruption():
     assert count >= 100
 
 
+def test_msym_expand_needs_the_ascent_partner_of_every_descent():
+    # the block check compares coefficients at ascent keys only; a descent
+    # key whose ascent partner is missing is caught by the presence check
+    # alone when i is the only index above m (m = n - 2)
+    count = 0
+    for label, el, least in _msym_elements(3):
+        n = el.rank
+        for m in range(least, n):
+            for i in range(m + 1, n):
+                for key in el.terms:
+                    p = pad(key, n)
+                    if p[i - 1] <= p[i]:
+                        continue
+                    partner = p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :]
+                    terms = {k: c for k, c in el.terms.items() if pad(k, n) != partner}
+                    with pytest.raises(MSymmetryViolation, match="not %d-symmetric" % m):
+                        msym_expand(ModuleElement(n, terms), m)
+                    count += 1
+    assert count >= 1000
+
+
 def test_pair_needs_divisible_coefficients():
     x = MSymExpansion(0, 3, {(1, 1): ONE})
     with pytest.raises(NonExactDivision):
         pair(x, x)
+
+
+def _count_divisions(monkeypatch):
+    calls = []
+    real = CoeffPoly.exact_div
+
+    def counted(self, d):
+        calls.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(CoeffPoly, "exact_div", counted)
+    return calls
+
+
+def test_warm_pairings_divide_nothing_again(monkeypatch):
+    module = sys.modules["qtkostka.kostka"]
+    qtkostka.clear_caches()
+    lam, mu = (2, 1, 1), (2, 1, 1)
+    want = kostka(lam, mu).value
+    marks = [(d, marked_kostka(lam, d)) for d in all_markings(mu)]
+    calls = _count_divisions(monkeypatch)
+    module._kostka.cache_clear()  # the value memo only; the expansions stay warm
+    assert kostka(lam, mu).value == want
+    assert [(d, marked_kostka(lam, d)) for d in all_markings(mu)] == marks
+    assert kostka_via_schur(lam, mu) == want
+    assert calls == []
+    # a cold run does divide, once per paired coefficient
+    qtkostka.clear_caches()
+    assert kostka(lam, mu).value == want
+    assert calls
+
+
+def _plant_remainder(lam, mu):
+    """Add 1 to a memoized E~_mu coefficient that kostka(lam, mu) divides by b != 1."""
+    module = sys.modules["qtkostka.kostka"]
+    m = max(partition_length(lam), len(mu))
+    n = max(m + sum(lam) + 1, 2)
+    expansion, _ = module._e_expansion(mu, m, n)
+    kl = module._kl_expansion(lam, m, n)
+    tau = next(
+        t for t in sorted(kl.terms)
+        if t in expansion.terms and CoeffPoly.b_partition(t[m:]) != ONE
+    )
+    expansion.terms[tau] = expansion.terms[tau] + ONE
+
+
+def test_planted_remainder_in_a_memoized_expansion_raises():
+    qtkostka.clear_caches()
+    _plant_remainder((1, 1), (2,))
+    with pytest.raises(NonExactDivision):
+        kostka((1, 1), (2,))
+    qtkostka.clear_caches()
+    assert kostka((1, 1), (2,)).value == Q
+
+
+def test_planted_remainder_is_an_internal_scan_record():
+    from click.testing import CliRunner
+
+    from qtkostka import cli
+
+    qtkostka.clear_caches()
+    _plant_remainder((1, 1), (2,))
+    r = CliRunner().invoke(cli.main, ["scan", "--max-weight", "2", "--no-marked"])
+    qtkostka.clear_caches()
+    assert r.exit_code == 3
+    records = [json.loads(line) for line in r.output.splitlines() if line.startswith("{")]
+    # every lambda paired against the planted expansion is recorded, and nothing else
+    assert {"check": "internal", "lambda": "1,1", "mu": "2", "value": None,
+            "detail": "NonExactDivision"} in records
+    assert {(v["check"], v["mu"], v["detail"]) for v in records} == {
+        ("internal", "2", "NonExactDivision")
+    }
 
 
 def test_pair_truncated_geometric():

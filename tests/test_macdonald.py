@@ -2,8 +2,9 @@
 
 import pytest
 
+from oracles import e_tilde_chain, marked_e_chain
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V
-from qtkostka.compositions import MarkedDiagram, compositions_of
+from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of
 from qtkostka.macdonald import (
     duality_check,
     e_box_product,
@@ -30,6 +31,16 @@ def test_e_tilde_rank2_examples():
 
     res = e_tilde((0, 1), 2)
     assert res.element == ModuleElement.basis((0, 1), 2).scale(ONE - T * T * Q)
+
+
+def test_e_tilde_and_marked_e_match_the_chain_oracle():
+    # the recursions over the letter rows against the n - m + 1-pass letters
+    for d in range(4):
+        for lam in compositions_of(d, 3):
+            for n in range(max(len(lam), 2), 7):
+                assert e_tilde(lam, n).element == e_tilde_chain(lam, n), (lam, n)
+                for dg in all_markings(lam):
+                    assert marked_e(dg, n) == marked_e_chain(dg, n), (dg, n)
 
 
 def test_e_tilde_trivial_cases():

@@ -1,11 +1,14 @@
 """Tests for the induced module: Hecke action, rotation, and the bar involution."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import d_basis_word
+from oracles import d_basis_word, letter_chain
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
-from qtkostka.compositions import compositions_of
+from qtkostka.compositions import all_markings, compositions_of
+from qtkostka.macdonald import e_tilde, marked_e
 from qtkostka.bruhat import preceq
 from qtkostka.parabolic import (
     ModuleElement,
@@ -100,6 +103,54 @@ def test_operator_words():
     # Z_1 = H_1^{-1} ... H_{n-1}^{-1} omega
     assert x.z_op(1) == x.omega().hi_inv(2).hi_inv(1)
     assert x.z_op(2) == x.hi(1).omega().hi_inv(2)
+
+
+def _letter_inputs():
+    """(label, element): basis elements of weight <= 4 at ranks 2-8, E~ and
+    marked E~ of weight <= 3 at ranks up to 6, and seeded random (v,q)
+    combinations of weight <= 4 keys at every rank."""
+    rng = random.Random(7)
+    for n in range(2, 9):
+        keys = [lam for d in range(5) for lam in compositions_of(d, n)]
+        for lam in keys:
+            yield ("basis", lam, n), ModuleElement.basis(lam, n)
+        for k in range(6):
+            terms = {}
+            for lam in rng.sample(keys, min(len(keys), 4)):
+                terms[lam] = CoeffPoly({
+                    (rng.randint(-3, 3), rng.randint(0, 2)): rng.choice([-2, -1, 1, 3])
+                    for _ in range(3)
+                })
+            yield ("random", k, n), ModuleElement(n, terms)
+        if n > 6:
+            continue
+        for d in range(4):
+            for lam in compositions_of(d, min(n, 3)):
+                yield ("e", lam, n), e_tilde(lam, n).element
+                for dg in all_markings(lam):
+                    yield ("marked", dg, n), marked_e(dg, n)
+
+
+def test_letters_match_the_chain_oracle():
+    # the one-pass row form of Phi_m / Phibar_m against the n - m + 1 passes
+    count = 0
+    rng = random.Random(11)
+    for label, x in _letter_inputs():
+        n = x.rank
+        for m in range(1, n + 1):
+            phi = letter_chain(x, m, False)
+            phibar = letter_chain(x, m, True)
+            assert x.phi_op(m) == phi, (label, m)
+            assert x.phibar_op(m) == phibar, (label, m)
+            a = CoeffPoly.monomial(rng.choice([-1, 2]), rng.randint(-2, 2), rng.randint(0, 2))
+            b = CoeffPoly.monomial(rng.choice([-1, 2]), rng.randint(-2, 2), rng.randint(0, 2))
+            assert x.letters(m, a, b) == phi.scale(a) + phibar.scale(b), (label, m)
+            count += 1
+    assert count > 10000
+    with pytest.raises(ValueError):
+        ModuleElement.basis((1,), 3).phi_op(4)
+    with pytest.raises(ValueError):
+        ModuleElement.basis((1,), 3).phibar_op(0)
 
 
 def test_projection():

@@ -199,12 +199,6 @@ class CoeffPoly:
         out.terms = {e: c for e, c in self.terms.items() if e[1] == 0}
         return out
 
-    def coefficient_of_q(self, k):
-        """The coefficient of q^k, a polynomial in v alone."""
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = {(a, 0): c for (a, b), c in self.terms.items() if b == k}
-        return out
-
     # -- exact division ------------------------------------------------------
 
     def exact_div(self, d):

@@ -132,16 +132,6 @@ def box_enumeration(lam):
     return out, tuple(cols)
 
 
-@memoized
-def c_word(lam):
-    """The column-length word of the box enumeration.
-
-    Satisfies c_word(lam) = c_word(lam*) + (l(lam),), which makes chains of
-    the star step share operator words.
-    """
-    return box_enumeration(lam)[1]
-
-
 def lambda_star(lam):
     """One step of the recursion: (lambda*, m, a).
 
@@ -160,14 +150,6 @@ def omega_star(lam, n):
     """(lambda_2, ..., lambda_n, lambda_1 + 1) at rank n."""
     lam = pad(lam, n)
     return canonicalize(lam[1:] + (lam[0] + 1,))
-
-
-def omega_star_inv(lam, n):
-    """Inverse of omega_star; requires lambda_n >= 1."""
-    lam = pad(lam, n)
-    if lam[n - 1] < 1:
-        raise ValueError("omega_star inverse needs a positive last part")
-    return canonicalize((lam[n - 1] - 1,) + lam[: n - 1])
 
 
 @dataclass(frozen=True)

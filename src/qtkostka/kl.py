@@ -34,11 +34,9 @@ v^{-l(kappa)} s_sigma M^{sigma|m}.  Hence
     R[tau][sigma] = s_sigma A_sigma / bar(s_tau),
     A_sigma = sum_{kappa in orbit(sigma)} v^{-l(kappa)} r_{kappa0,kappa},
 
-r being the involution row of kappa0 (packed_row).  Rows are stored barred,
-where v^{-l} is a left shift by WIDTH * l: A_sigma is summed packed under
-the bound sum of row.bound over the orbit's entries, which check_bound
-must pass before the one decode.  d(M^{tau|m}) is m-symmetric as
-M^{tau|m} is, so the division by bar(s_tau) is exact on correct rows; a
+r being the involution row of kappa0 (d_basis).  A_sigma is summed in
+CoeffPoly, each entry shifted by v^{-l(kappa)}.  d(M^{tau|m}) is m-symmetric
+as M^{tau|m} is, so the division by bar(s_tau) is exact on correct rows; a
 remainder raises ConsistencyError.
 
 The solve.  p_lambda = 1; walking the representatives in decreasing
@@ -63,10 +61,6 @@ full-rank solve:
   of its p_tau in vZ[v].  So the element is congruent to M^lambda modulo
   vZ[v], and by uniqueness of the KL element it is the one the full-rank
   solve returns.
-
-Packed arithmetic (packed.py): a row entry bar(r) has exponents >=
--|lambda|(n-1) and a left shift only raises them, so A_sigma stays in the
-row's window; the bound makes its decode exact.
 """
 
 from __future__ import annotations
@@ -74,12 +68,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import packed
 from .bruhat import min_rep_length
 from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, ZERO
-from .compositions import canonicalize, orbit, pad, partition_length, weight
+from .compositions import canonicalize, orbit, pad, partition_length
 from .memo import memoized
-from .parabolic import ModuleElement, packed_row
+from .parabolic import ModuleElement, d_basis
 
 
 @dataclass(frozen=True)
@@ -153,21 +146,15 @@ def _s_factor(tau, m, n):
 def _orbit_row(tau, m, n):
     """R[tau], the orbit row d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m}."""
     p = pad(tau, n)
-    row = packed_row(canonicalize(p[:m] + tuple(sorted(p[m:]))), n)
-    k = packed.WIDTH
+    row = d_basis(canonicalize(p[:m] + tuple(sorted(p[m:]))), n)
     sums = {}
-    counts = {}
-    for kappa, x in row.terms.items():
+    for kappa, r in row.terms.items():
         q = pad(kappa, n)
         sigma = canonicalize(q[:m] + tuple(sorted(q[m:], reverse=True)))
-        sums[sigma] = sums.get(sigma, 0) + (x << k * _tail_inversions(q[m:]))
-        counts[sigma] = counts.get(sigma, 0) + 1
-    off = packed.offset(weight(tau), n)
+        sums[sigma] = sums.get(sigma, ZERO) + r.shift(v_exp=-_tail_inversions(q[m:]))
     s_bar = _s_factor(tau, m, n).bar()
     out = {}
-    for sigma, x in sums.items():
-        packed.check_bound(counts[sigma] * row.bound, "orbit row of %r at rank %d" % (tau, n))
-        a = packed.decode(x, off).bar()
+    for sigma, a in sums.items():
         if not a:
             continue
         try:

@@ -19,17 +19,14 @@ applied in one pass over memoized q-free rows, the images of basis elements
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
-over the column word of lambda.  Its rows are q-free, so they are built once
-per (rank, lambda) as Kronecker-packed ints (packed.py), stored barred, by
-one builder, packed_row; d_basis decodes them into ModuleElements.  The
-exactness argument, a window for the exponents and a bound for the
-coefficients, is spelled out at packed_row and _row_hi_inv.
+over the column word of lambda.  Its rows are built once per (rank, lambda)
+as ModuleElements by d_basis, with the module's own operators: one Phibar
+letter for a weakly increasing key, one inverse generator for every other.
 Every memo here comes from memo.py, which also clears them.
 """
 
 from __future__ import annotations
 
-from . import packed
 from .coeffs import CoeffPoly, ONE, V, VINV, V_MINUS_VINV, ZERO
 from .compositions import (
     canonicalize,
@@ -37,7 +34,6 @@ from .compositions import (
     lambda_star,
     omega_star,
     pad,
-    weight,
 )
 from .memo import memoized, table
 from .sparse import SparseVector
@@ -300,93 +296,20 @@ def _psi_monomial(lam, n):
 
 # -- the bar involution -----------------------------------------------------------
 
-# (rank, lambda) -> PackedRow
+# (rank, lambda) -> d(M^lambda)
 _D_CACHE = table()
 
 
-class PackedRow:
-    """The row d(M^lambda), barred and packed (see packed.py).
-
-    terms maps nu to bar(r_nu) packed at offset |lambda|(n-1), where
-    d(M^lambda) = sum_nu r_nu M^nu; bound is a proven bound on every
-    coefficient of every entry, kept below 2^(WIDTH-1).  Storing the bar lets
-    a KL coefficient p in Z[v] multiply an entry with no change of offset.
-    """
-
-    __slots__ = ("terms", "bound")
-
-    def __init__(self, terms, bound):
-        self.terms = terms
-        self.bound = bound
-
-
-def _row_hi_inv(row, i):
-    """H_i^{-1} on a packed row, in barred form.
-
-    hi_inv scales an equal pair by v, swaps a descent, and swaps an ascent
-    keeping (v - v^{-1}) times the old key; barred, the factors become v^{-1}
-    and v^{-1} - v.  A coefficient of the image is at most three of the
-    input, so the bound triples; before it would pass packed.row_limit(),
-    the input's bound is tightened to its exact maximum (a decode, valid
-    because the old bound fits).  Each v^{-1} goes through packed.shift_down,
-    whose dropped digit is the image's digit just below the window: no other
-    contribution reaches that far down.
-    """
-    if 3 * row.bound > packed.row_limit():
-        row.bound = max(packed.max_coeff(x) for x in row.terms.values())
-        packed.check_bound(3 * row.bound, "involution row")
-    k = packed.WIDTH
-    shift_down = packed.shift_down
-    acc = {}
-    memo = _SWAP_MEMO
-    for lam, x in row.terms.items():
-        key = (lam, i)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _swap_entry(lam, i)
-        case, swapped = hit
-        if case == 0:
-            acc[lam] = acc.get(lam, 0) + shift_down(x)
-        else:
-            acc[swapped] = acc.get(swapped, 0) + x
-            if case == 1:
-                acc[lam] = acc.get(lam, 0) + shift_down(x) - (x << k)
-    return PackedRow({nu: x for nu, x in acc.items() if x}, 3 * row.bound)
-
-
-def _row_phibar(row, m, n):
-    """Phibar_m = H_m^{-1} ... H_{n-1}^{-1} omega on a packed row.
-
-    The input row has weight one less, so its offset is n - 1 lower: it is
-    lifted into the window of the image before omega relabels its keys.
-    """
-    lift = packed.WIDTH * (n - 1)
-    memo = _OMEGA_MEMO
-    terms = {}
-    for lam, x in row.terms.items():
-        key = (lam, n)
-        img = memo.get(key)
-        if img is None:
-            img = memo[key] = omega_star(lam, n)
-        terms[img] = x << lift
-    out = PackedRow(terms, row.bound)
-    for i in range(n - 1, m - 1, -1):
-        out = _row_hi_inv(out, i)
-    return out
-
-
-def packed_row(lam, n):
-    """The packed, barred row of d(M^lambda), built once per (rank, lambda).
+def d_basis(lam, n):
+    """d(M^lambda), built once per (rank, lambda).
 
     For an ascent kappa_i < kappa_{i+1} the standard basis transforms without
     echo, M^{s_i kappa} = H_i M^kappa, so by semilinearity the row of s_i kappa
     is H_i^{-1} applied to the row of kappa.  Rows therefore propagate by
     single inverse generators from the weakly increasing arrangement of the
-    entries, which is the only key still built from its Phibar column word.
-    Window: every exponent of a finished row lies in [-|lambda|(n-1),
-    |lambda|(n-1)] (packed.offset), so no shift_down on the way can fire on
-    a correct row.  Bound: tripled per inverse generator, tightened by an
-    exact decode before it would pass packed.row_limit() (_row_hi_inv).
+    entries, which is the only key still built from its column word: its row
+    is Phibar_m applied to the row of lambda*, m = l(lambda), one letter over
+    the memoized rows of phibar_op.
     """
     lam = canonicalize(lam)
     if len(lam) > n:
@@ -402,7 +325,7 @@ def packed_row(lam, n):
             stack.pop()
             continue
         if not cur:
-            _D_CACHE[(n, cur)] = PackedRow({(): packed.encode(ONE, 0)}, 1)
+            _D_CACHE[(n, cur)] = ModuleElement.basis((), n)
             stack.pop()
             continue
         p = pad(cur, n)
@@ -415,22 +338,9 @@ def packed_row(lam, n):
         if prow is None:
             stack.append(prev)
             continue
-        if i is None:
-            _D_CACHE[(n, cur)] = _row_phibar(prow, m, n)
-        else:
-            _D_CACHE[(n, cur)] = _row_hi_inv(prow, i)
+        _D_CACHE[(n, cur)] = prow.phibar_op(m) if i is None else prow.hi_inv(i)
         stack.pop()
     return _D_CACHE[key]
-
-
-def d_basis(lam, n):
-    """d(M^lambda), decoded from its packed row."""
-    lam = canonicalize(lam)
-    row = packed_row(lam, n)
-    off = packed.offset(weight(lam), n)
-    return ModuleElement.zero(n)._raw(
-        {nu: packed.decode(x, off).bar() for nu, x in row.terms.items()}
-    )
 
 
 def bar_d(x):

@@ -18,12 +18,11 @@ from them, and distinct permutations by brute force.
 import itertools
 from functools import lru_cache
 
-from qtkostka import packed
 from qtkostka.bruhat import min_rep_length
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE
-from qtkostka.compositions import box_enumeration, lambda_star, weight
+from qtkostka.compositions import box_enumeration, lambda_star
 from qtkostka.kl import skew_positive_part
-from qtkostka.parabolic import ModuleElement, d_basis, packed_row
+from qtkostka.parabolic import ModuleElement, d_basis
 
 
 def mul_perm(a, b):
@@ -174,9 +173,13 @@ def oracle_leq(tau, eta, radius=16):
 # -- the full-rank Kazhdan-Lusztig solve and the word route of d -----------------
 
 
-def l1(f):
-    """The sum of |coefficients| of f."""
-    return sum(abs(c) for c in f.terms.values())
+def _add_product(acc, key, p, r):
+    """acc[key] += p * r, where acc holds the terms dicts of CoeffPolys."""
+    t = acc.setdefault(key, {})
+    for (a, b), x in p.terms.items():
+        for (c, d), y in r.terms.items():
+            e = (a + c, b + d)
+            t[e] = t.get(e, 0) + x * y
 
 
 @lru_cache(maxsize=None)
@@ -187,57 +190,51 @@ def kl_solve_full(lam, n):
     certificates it had as the library's solve: a unit diagonal, strict
     triangularity in min_rep_length, bar-skewness at every node, coefficients
     in vZ[v], and self-duality recomputed from scratch as
-    sum_mu p_mu * bar(row_mu) == bar(el), all on packed rows (packed.py).
+    sum_mu bar(p_mu) * row_mu == el, all over the d_basis rows.
     Callers clear this memo together with the library's (clear_caches does
     not reach it).
     """
     # support closure under the involution rows
-    off = packed.offset(weight(lam), n)
-    one = packed.encode(ONE, off)
     rows = {}
     frontier = [lam]
     while frontier:
         mu = frontier.pop()
         if mu in rows:
             continue
-        row = packed_row(mu, n)
-        if row.terms.get(mu) != one:
+        row = d_basis(mu, n)
+        if row.terms.get(mu) != ONE:
             raise ConsistencyError("involution row of %r has a bad diagonal" % (mu,))
         rows[mu] = row
         frontier.extend(nu for nu in row.terms if nu not in rows)
 
-    # solve top-down; acc[nu] holds bar of the right-hand side,
-    # sum p_mu * bar(r_{mu,nu}), and bound is the running bound on its coefficients
+    # solve top-down; acc[nu] is the right-hand side sum bar(p_mu) * r_{mu,nu},
+    # accumulated in place
     ml = {mu: min_rep_length(mu, n) for mu in rows}
     order = sorted(rows, key=ml.__getitem__, reverse=True)
     if order[0] != lam:
         raise ConsistencyError("support closure of %r is not topped by it" % (lam,))
     coeffs = {lam: ONE}
     acc = {}
-    bound = 0
     for mu in order:
         if mu == lam:
             p = ONE
         else:
-            x = acc.get(mu)
-            if x is None:
+            g = acc.get(mu)
+            if g is None:
                 continue
-            packed.check_bound(bound, "KL solve of %r at rank %d" % (lam, n))
-            p = skew_positive_part(packed.decode(x, off).bar())
+            p = skew_positive_part(CoeffPoly(g))
             if not p:
                 continue
             coeffs[mu] = p
-        row = rows[mu]
-        bound += l1(p) * row.bound
-        pv = packed.encode(p, 0)
-        for nu, r in row.terms.items():
+        pb = p.bar()
+        for nu, r in rows[mu].terms.items():
             if nu == mu:
                 continue
             if ml[nu] >= ml[mu]:
                 raise ConsistencyError(
                     "involution row of %r is not strictly triangular at %r" % (mu, nu)
                 )
-            acc[nu] = acc.get(nu, 0) + pv * r
+            _add_product(acc, nu, pb, r)
 
     el = ModuleElement(n, coeffs)
     for mu, c in el.terms.items():
@@ -248,18 +245,14 @@ def kl_solve_full(lam, n):
                 "KL coefficient of %r in M^_%r leaves vZ[v]: %r" % (mu, lam, c)
             )
 
-    # self-duality from scratch, compared packed under a bound that makes it exact
+    # self-duality from scratch
     image = {}
-    bound = 0
     for mu, p in el.terms.items():
-        row = rows[mu]
-        bound += l1(p) * row.bound
-        pv = packed.encode(p, 0)
-        for nu, r in row.terms.items():
-            image[nu] = image.get(nu, 0) + pv * r
-    packed.check_bound(bound, "self-duality recheck of M^_%r at rank %d" % (lam, n))
-    want = {mu: packed.encode(c.bar(), off) for mu, c in el.terms.items()}
-    if {nu: x for nu, x in image.items() if x} != want:
+        pb = p.bar()
+        for nu, r in rows[mu].terms.items():
+            _add_product(image, nu, pb, r)
+    image = {nu: CoeffPoly(t) for nu, t in image.items()}
+    if {nu: c for nu, c in image.items() if c} != el.terms:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
     return el
 
@@ -267,12 +260,13 @@ def kl_solve_full(lam, n):
 def d_basis_word(lam, n):
     """d(M^lambda) straight from the Phibar word over the column word.
 
-    The last Phibar runs on ModuleElement; tests compare it with d_basis.
+    The last Phibar is a letter_chain over d_basis of lambda*; tests compare
+    it with d_basis, which builds only weakly increasing keys by a letter.
     """
     if not lam:
         return ModuleElement.basis((), n)
     star, m, _ = lambda_star(lam)
-    return d_basis(star, n).phibar_op(m)
+    return letter_chain(d_basis(star, n), m, True)
 
 
 def letter_chain(x, m, barred):

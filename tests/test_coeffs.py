@@ -82,14 +82,6 @@ def test_specialize_q0():
         Q.bar().specialize_q0()
 
 
-def test_coefficient_of_q():
-    p = T + (ONE + T) * Q + T * Q * Q
-    assert p.coefficient_of_q(0) == T
-    assert p.coefficient_of_q(1) == ONE + T
-    assert p.coefficient_of_q(2) == T
-    assert p.coefficient_of_q(3) == ZERO
-
-
 def test_exact_div():
     p = (ONE - T) * (ONE + V + Q)
     assert p.exact_div(ONE - T) == ONE + V + Q

@@ -1,7 +1,8 @@
 """Source hygiene of the library.
 
-Every name a library module imports is read somewhere in it, and every
-private top-level function is called from library code outside its own body.
+Every name a library module imports is read somewhere in it.  Every
+top-level function is read by library code outside its own body; a public
+one may instead be re-exported by __init__.py or be a click command.
 """
 
 import ast
@@ -53,13 +54,14 @@ def _names_read(node):
     return out
 
 
-def test_no_unreferenced_private_functions():
-    # test-only helpers belong in tests/oracles.py, not in the library
+def _unreferenced(keep):
+    """file:name of every top-level function that no library code reads
+    outside its own body, skipping those for which keep(name, node) holds."""
     trees = _library_trees()
     unused = []
     for fname, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+            if not isinstance(node, ast.FunctionDef) or keep(node.name, node):
                 continue
             elsewhere = set()
             for other, other_tree in trees.items():
@@ -69,4 +71,37 @@ def test_no_unreferenced_private_functions():
                     elsewhere |= _names_read(top)
             if node.name not in elsewhere:
                 unused.append("%s:%s" % (fname, node.name))
-    assert unused == []
+    return unused
+
+
+def test_no_unreferenced_private_functions():
+    # test-only helpers belong in tests/oracles.py, not in the library
+    assert _unreferenced(lambda name, node: not name.startswith("_")) == []
+
+
+def _reexported():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _is_click_command(node):
+    """Decorated by click.group()/click.command() or a group's .command(...)."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def test_no_unreferenced_public_functions():
+    # a public helper that nothing calls and the package does not export is dead
+    exported = _reexported()
+    assert _unreferenced(
+        lambda name, node: name.startswith("_") or name in exported or _is_click_command(node)
+    ) == []

@@ -4,13 +4,13 @@ import pytest
 
 import oracles
 import qtkostka
-from qtkostka import kl as kl_module, packed, parabolic
+from qtkostka import kl as kl_module, parabolic
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from qtkostka.bruhat import min_rep_length, preceq
 from qtkostka.compositions import canonicalize, compositions_of, pad, partition_length
 from qtkostka.kl import kl_element, skew_positive_part
 from qtkostka.kostka import msym_basis, msym_expand
-from qtkostka.parabolic import ModuleElement, bar_d, packed_row
+from qtkostka.parabolic import ModuleElement, bar_d, d_basis
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -156,13 +156,6 @@ def test_cold_solve_builds_few_involution_rows(cold):
     assert len(parabolic._D_CACHE) < 100
 
 
-def test_narrowed_packing_width_trips_the_guard(cold, monkeypatch):
-    # an orbit sum A_sigma whose bound does not fit is refused before its decode
-    monkeypatch.setattr(packed, "WIDTH", 8)
-    with pytest.raises(ConsistencyError, match=r"orbit row of .* 8-bit packing width"):
-        kl_element((4,), 8)
-
-
 def _bottom(tau, m, n):
     p = pad(tau, n)
     return canonicalize(p[:m] + tuple(sorted(p[m:])))
@@ -177,19 +170,20 @@ def _corrupt_each_row_entry(lam, n):
     """Yield once per off-diagonal entry of every involution row the solve reads.
 
     Those are the rows of the bottom keys kappa0 of the representatives with
-    a nonzero coefficient.  During each yield that entry carries an extra +1
-    at v^0.  Only the solve's memos are cleared, so the corrupted row stays
-    in the row memo and the next kl_element call solves again over it.
+    a nonzero coefficient.  During each yield that entry of the row in the
+    d_basis memo carries an extra +1 at v^0.  Only the solve's memos are
+    cleared, so the corrupted row stays in the row memo and the next
+    kl_element call solves again over it.
     """
     el = kl_element(lam, n)
     for tau in sorted(el.coeffs):
         bottom = _bottom(tau, el.m, n)
-        row = packed_row(bottom, n)
+        row = d_basis(bottom, n)
         for nu in sorted(row.terms):
             if nu == bottom:
                 continue
             saved = row.terms[nu]
-            row.terms[nu] = saved + (1 << (packed.WIDTH * packed.offset(sum(lam), n)))
+            row.terms[nu] = saved + ONE
             _clear_solve_memos()
             try:
                 yield tau, nu

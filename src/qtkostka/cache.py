@@ -5,6 +5,13 @@ canonical JSON encoding, so identical computations land on identical paths.
 Writes go to a temp file followed by an atomic rename, which keeps a cache
 directory safe under concurrent scanners.  Existing entries are never
 rewritten.
+
+Layout: one flat directory per kind, ``<root>/<kind>/<sha256>.json``.  There
+is no shard level below the kind: a directory costs an inode allocation, as
+a file does, and the file creates are already the cost of a cold scan.  A
+shard level of ``<xx>/`` made scan(3) create 363 directories of 1-8 entries
+each besides its 1109 entry files.  Entries written under that older layout
+are not read; they are recomputed once and stored flat.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ def cache_digest(kind, key):
 
 def cache_path(root, kind, key):
     h = cache_digest(kind, key)
-    return os.path.join(root, kind, h[:2], h + ".json")
+    return os.path.join(root, kind, h + ".json")
 
 
 def cache_get(root, kind, key):
@@ -51,13 +58,13 @@ def cache_put(root, kind, key, payload):
         {"format": FORMAT, "kind": kind, "key": key, "payload": payload},
         sort_keys=True, separators=(",", ":"),
     )
-    shard = os.path.dirname(path)
+    folder = os.path.dirname(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     except FileNotFoundError:
-        # the shard directory is made once, on its first entry
-        os.makedirs(shard, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        # the kind directory is made once, on its first entry
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

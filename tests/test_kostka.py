@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -351,19 +352,22 @@ def test_scan_cache_resume(tmp_path):
     assert second["violations"] == []
 
 
-def _scan_outputs(tmp_path, name, **kwargs):
-    """A scan into a fresh cache: report without timings, CSV bytes, cache entries."""
+def _scan_outputs(tmp_path, name, max_weight=3, **kwargs):
+    """A scan into the cache tmp_path/name: report without timings, CSV bytes, cache entries."""
     cache = tmp_path / name
     csv_path = tmp_path / (name + ".csv")
-    rep = scan(3, cache_dir=str(cache), csv_path=str(csv_path), **kwargs)
+    rep = scan(max_weight, cache_dir=str(cache), csv_path=str(csv_path), **kwargs)
     rep.pop("timings")
     return rep, csv_path.read_bytes(), _cache_entries(cache)
 
 
 def _cache_entries(cache):
+    """Every (kind, key, payload) stored as an entry file under cache, sorted."""
     entries = []
     for dirpath, _, files in os.walk(cache):
         for name in files:
+            if not name.endswith(".json"):
+                continue
             with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
                 data = json.load(fh)
             entries.append((data["kind"], data["key"], data["payload"]))
@@ -391,6 +395,100 @@ def test_scan_fully_cached_starts_no_pool(tmp_path, monkeypatch):
     first.pop("timings")
     again.pop("timings")
     assert again == first
+
+
+def test_scan_writes_one_flat_directory_per_kind(tmp_path, monkeypatch):
+    root = str(tmp_path / "cache")
+    got, put = [], []
+
+    def spy(log, fn):
+        def wrapper(root, kind, key, *rest):
+            log.append(cache_path(root, kind, key))
+            return fn(root, kind, key, *rest)
+        return wrapper
+
+    # cached() must reach cache_get/cache_put through these module globals:
+    # the benchmark's tracer rebinds them to count reads and writes
+    cache_module = sys.modules["qtkostka.cache"]
+    monkeypatch.setattr(cache_module, "cache_get", spy(got, cache_module.cache_get))
+    monkeypatch.setattr(cache_module, "cache_put", spy(put, cache_module.cache_put))
+    rep = scan(2, cache_dir=root)
+    assert rep["violations"] == []
+
+    assert sorted(os.listdir(root)) == ["kostka", "marked"]
+    files = set()
+    for kind in ("kostka", "marked"):
+        for name in os.listdir(os.path.join(root, kind)):
+            path = os.path.join(root, kind, name)
+            assert os.path.isfile(path) and name.endswith(".json"), path
+            files.add(path)
+    assert {cache_path(root, kind, key) for kind, key, _ in _cache_entries(root)} == files
+
+    domain = [compositions_of(d, 2) for d in range(3)]
+    values = sum(len(mus) ** 2 for mus in domain)
+    marked = sum(len(mus) * len(list(all_markings(mu))) for mus in domain for mu in mus)
+    assert values == rep["pairs"] == 14
+    assert len(files) == values + marked
+    assert sorted(got) == sorted(put) == sorted(files)
+
+
+# The child kills itself between a temp file's write and its rename.
+_CRASHING_SCAN = """
+import os, signal, sys
+from qtkostka import scan
+
+real_replace = os.replace
+calls = []
+
+def replace(src, dst):
+    calls.append(dst)
+    if len(calls) == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_replace(src, dst)
+
+os.replace = replace
+scan(2, cache_dir=sys.argv[1], csv_path=sys.argv[2])
+"""
+
+
+def test_scan_killed_mid_write_resumes_to_the_same_outputs(tmp_path, monkeypatch):
+    root = tmp_path / "killed"
+    csv_path = tmp_path / "killed.csv"
+    src = os.path.dirname(os.path.dirname(qtkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _CRASHING_SCAN, str(root), str(csv_path)],
+                          env=env, capture_output=True, check=False, timeout=300)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+
+    # four entries were renamed into place; the fifth was left as a temp file
+    assert len(_cache_entries(root)) == 4
+    stray = [os.path.join(dirpath, name) for dirpath, _, names in os.walk(root)
+             for name in names if name.endswith(".tmp")]
+    assert len(stray) == 1
+    with open(stray[0], encoding="utf-8") as fh:
+        lost = json.load(fh)
+    cache_module = sys.modules["qtkostka.cache"]
+    assert cache_module.cache_get(str(root), lost["kind"], lost["key"]) is None
+    assert not csv_path.exists()
+
+    written = []
+    real_put = cache_module.cache_put
+
+    def counting_put(*args):
+        ok = real_put(*args)
+        written.append(ok)
+        return ok
+
+    monkeypatch.setattr(cache_module, "cache_put", counting_put)
+    resumed = _scan_outputs(tmp_path, "killed", max_weight=2)
+    monkeypatch.undo()
+    fresh = _scan_outputs(tmp_path, "fresh", max_weight=2)
+    assert resumed == fresh
+    # the resumed scan computed only what the killed one had not stored
+    assert written == [True] * (len(fresh[2]) - 4)
+    # the temp file stays where it was and is never taken for an entry
+    assert os.path.exists(stray[0])
+    assert cache_module.cache_get(str(root), lost["kind"], lost["key"]) == lost["payload"]
 
 
 def _fail_one_pair(monkeypatch, pair):

@@ -1,6 +1,7 @@
 """Record the benchmark of one checkout in BENCH_<pr>.json.
 
 Usage: python3 tools/bench.py --pr N [--root DIR] [--label TEXT]
+       python3 tools/bench.py --pr N [--root DIR] --ab PARENT_DIR --workload W [--pairs K]
 
 For each workload of BENCHMARK.json, runs the perfbench/run.py of the
 checkout at DIR (default: this repository) twice, untraced and then traced,
@@ -9,6 +10,14 @@ appended to BENCH_<N>.json at the root of this repository: the label, the
 machine as perfbench reports it, and per workload the correctness counts,
 the end-to-end medians and the per-layer metrics.  perfbench is run as it
 is, in its own checkout; nothing in it is changed.
+
+With --ab, K pairs of untraced runs of workload W compare the checkout at
+PARENT_DIR with the one at DIR.  Each pair runs both sides with one seed
+(pair k uses seed k), and the side that runs first alternates, so a drift of
+the machine over minutes falls on both sides alike.  The A/B record under
+"ab" in BENCH_<N>.json is rewritten after every pair: each pair's
+end-to-end medians per side, and per metric the median of the K ratios
+change/parent with the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -23,9 +33,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 0
 
 
-def run_perfbench(root, workload, seconds, trace):
+def run_perfbench(root, workload, seconds, trace, seed=SEED):
     """The result line and the machine line of one perfbench run, parsed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -41,9 +51,13 @@ def values(result):
     return {name: m["value"] for name, m in sorted(result["metrics"].items())}
 
 
-def bench(root):
+def load_spec(root):
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
+        return json.load(fh)
+
+
+def bench(root):
+    spec = load_spec(root)
     seconds = spec["run_seconds"]
     machine = None
     workloads = {}
@@ -61,22 +75,98 @@ def bench(root):
     return {"seed": SEED, "seconds": seconds, "machine": machine, "workloads": workloads}
 
 
+def quartiles(xs):
+    """Lower quartile, median and upper quartile of xs."""
+    if len(xs) < 2:
+        return [xs[0]] * 3
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def ab_summary(pairs, metrics):
+    """Per metric: each side's quartiles, the median ratio change/parent and
+    the pairs the change won (a tie wins for neither side)."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        both = [(p["parent"]["end_to_end"][name], p["change"]["end_to_end"][name])
+                for p in pairs if p["parent"]["end_to_end"].get(name)]
+        if not both:
+            continue
+        ratios = [c / a for a, c in both]
+        out[name] = {
+            "parent_quartiles": quartiles([a for a, _ in both]),
+            "change_quartiles": quartiles([c for _, c in both]),
+            "median_ratio": round(statistics.median(ratios), 4),
+            "wins": sum(1 for r in ratios if (r < 1 if lower else r > 1)),
+            "pairs": len(ratios),
+        }
+    return out
+
+
+def ab(parent, change, workload, pairs, label):
+    """Alternate untraced runs of workload on parent and change.
+
+    Yields the A/B record, summary included, after each pair.
+    """
+    spec = load_spec(change)
+    roots = {"parent": parent, "change": change}
+    # the machine line carries each side's src/ digest, which names the checkout
+    record = {"label": label, "workload": workload, "seconds": spec["run_seconds"],
+              "machine": {}, "pairs": [], "summary": {}}
+    for k in range(pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": k, "order": list(order)}
+        for side in order:
+            result, record["machine"][side] = run_perfbench(roots[side], workload,
+                                                            spec["run_seconds"], 0, seed=k)
+            pair[side] = {"correct": result["correct"], "attempted": result["attempted"],
+                          "failed": result["failed"], "end_to_end": values(result)}
+        record["pairs"].append(pair)
+        record["summary"] = ab_summary(record["pairs"], spec["end_to_end"])
+        yield record
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number of the BENCH file")
     ap.add_argument("--root", default=REPO, help="checkout to benchmark (default: this one)")
     ap.add_argument("--label", default="", help="what the checkout is, e.g. parent or change")
+    ap.add_argument("--ab", metavar="PARENT_DIR", help="compare against this checkout")
+    ap.add_argument("--workload", help="the workload of an --ab comparison")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of an --ab comparison")
     args = ap.parse_args(argv)
-    record = dict(label=args.label, **bench(os.path.abspath(args.root)))
+    if args.ab and (not args.workload or args.pairs < 1):
+        ap.error("--ab needs --workload and at least one pair")
     path = os.path.join(REPO, "BENCH_%d.json" % args.pr)
     data = {"pr": args.pr, "runs": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+
+    def save():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+    if args.ab:
+        # the record is rewritten after every pair, so a cut run keeps its pairs
+        data.setdefault("ab", []).append(None)
+        for record in ab(os.path.abspath(args.ab), os.path.abspath(args.root), args.workload,
+                         args.pairs, args.label):
+            data["ab"][-1] = record
+            save()
+            print("pair %d/%d: %s" % (len(record["pairs"]), args.pairs, " ".join(
+                "%s %.3f (%d/%d)" % (name, s["median_ratio"], s["wins"], s["pairs"])
+                for name, s in record["summary"].items())), flush=True)
+        bad = sorted({side for p in record["pairs"] for side in ("parent", "change")
+                      if not p[side]["correct"] or p[side]["failed"]})
+        print("%s: %d pairs of %s recorded%s" % (path, len(record["pairs"]), args.workload,
+                                                ", incorrect: " + " ".join(bad) if bad else ""))
+        return 1 if bad else 0
+    record = dict(label=args.label, **bench(os.path.abspath(args.root)))
     data["runs"].append(record)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save()
     bad = [name for name, w in record["workloads"].items() if not w["correct"]]
     print("%s: %d workloads recorded%s" % (path, len(record["workloads"]),
                                             ", incorrect: " + " ".join(bad) if bad else ""))

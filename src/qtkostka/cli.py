@@ -26,7 +26,7 @@ from .compositions import (
 )
 from .kl import kl_element
 from .kostka import charge_oracle, kostka, kostka_q0_check, kostka_via_schur, marked_kostka
-from .kostka import scan as run_scan
+from .kostka import kostka_key, marked_key, scan as run_scan
 from .macdonald import duality_check, e_monomial, e_tilde, marked_sum_check, symmetric_j
 from .parabolic import ModuleElement
 from .polyrep import from_module
@@ -120,15 +120,14 @@ def kostka_cmd(lam_text, mu_text, with_marked, fmt):
     lam = _parse(lam_text)
     mu = _parse(mu_text)
     cdir = _env_cache()
-    key = {"lambda": format_composition(lam), "mu": format_composition(mu)}
+    key = kostka_key(lam, mu)
     value = cached(cdir, "kostka", key, "value", CoeffPoly.from_json,
                    lambda: kostka(lam, mu).value)
     rows = []
     if with_marked:
         for d in all_markings(mu):
             a_stat, l_stat = marking_stats(d)
-            mk = {"lambda": key["lambda"], "marked": format_marked(d)}
-            mval = cached(cdir, "marked", mk, "value", CoeffPoly.from_json,
+            mval = cached(cdir, "marked", marked_key(lam, d), "value", CoeffPoly.from_json,
                           lambda: marked_kostka(lam, d))
             rows.append((format_marked(d), a_stat, l_stat, mval))
     if fmt == "json":

@@ -48,6 +48,12 @@ def pad(lam, n):
     return lam + (0,) * (n - len(lam))
 
 
+def swap(lam, i):
+    """lambda with its entries i and i+1 (1-based) exchanged, trimmed."""
+    p = pad(lam, max(len(lam), i + 1))
+    return canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
+
+
 @dataclass(frozen=True)
 class SortData:
     """The sorting permutation w^lambda at an explicit rank.

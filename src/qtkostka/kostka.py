@@ -37,6 +37,7 @@ from .compositions import (
     orbit,
     pad,
     partition_length,
+    swap,
     weight,
 )
 from .kl import kl_element
@@ -234,11 +235,18 @@ def marked_decomposition_check(lam, mu):
     """sum over markings of q^A K_{lambda,mu-bar} equals K_{lambda,mu}."""
     lam = canonicalize(lam)
     mu = canonicalize(mu)
+    return _marking_sum(mu, lambda d: marked_kostka(lam, d)) == kostka(lam, mu).value
+
+
+def _marking_sum(mu, value_of):
+    """sum over the markings d of mu of q^A(d) value_of(d), or None if a part is missing."""
     total = ZERO
     for d in all_markings(mu):
-        a_stat, _ = marking_stats(d)
-        total = total + marked_kostka(lam, d).shift(q_exp=a_stat)
-    return total == kostka(lam, mu).value
+        part = value_of(d)
+        if part is None:
+            return None
+        total = total + part.shift(q_exp=marking_stats(d)[0])
+    return total
 
 
 # -- independent routes: Schur pipeline and the charge statistic --------------
@@ -364,39 +372,63 @@ def psi_e_polynomial(mu):
     return all(c.is_v_polynomial() and c.is_q_polynomial() for c in el.terms.values())
 
 
+def kostka_key(lam, mu):
+    """The cache key of K_{lambda,mu}."""
+    return {"lambda": format_composition(lam), "mu": format_composition(mu)}
+
+
+def marked_key(lam, d):
+    """The cache key of the refinement of lambda over the marked diagram d."""
+    return {"lambda": format_composition(lam), "marked": format_marked(d)}
+
+
+def _entries(lam, domain, marked):
+    """Every main-pass value of lambda: (kind, store key, cache key, compute, mu, marking).
+
+    K_{lambda,mu} is stored under (lam, mu) with marking None, and each
+    marked refinement under (lam, mu, marks) with its MarkedDiagram.
+    """
+    for mu in domain[weight(lam)]:
+        yield ("kostka", (lam, mu), kostka_key(lam, mu),
+               lambda mu=mu: kostka(lam, mu).value, mu, None)
+        if marked:
+            for d in all_markings(mu):
+                yield ("marked", (lam, mu, d.marked), marked_key(lam, d),
+                       lambda d=d: marked_kostka(lam, d), mu, d)
+
+
 def _scan_lambda(lam, domain, marked, max_len, cache_dir):
     """The main-pass results of one lambda, each read from or written to the cache.
 
-    Returns the Kostka values keyed (lam, mu), the marked refinements keyed
-    (lam, mu, marks), the coefficients of the KL element over lambda on the
-    scanned window of mu, and an "internal" record for each value whose
-    computation raised ConsistencyError or NonExactDivision.  Such a value
-    is left out and not cached.  The KL rank covers every mu in the window.
+    Returns the values under their _entries store keys, the coefficients of
+    the KL element over lambda on the scanned window of mu, and an
+    "internal" record for each value whose computation raised
+    ConsistencyError or NonExactDivision.  Such a value is left out and not
+    cached.  The KL rank covers every mu in the window.
     """
-    d = weight(lam)
     values = {}
-    marked_values = {}
     internal = []
-
-    def attempt(store, key, kind, cache_key, compute, mu, dg=None):
+    for kind, key, cache_key, compute, mu, d in _entries(lam, domain, marked):
         try:
-            store[key] = cached(cache_dir, kind, cache_key, "value", CoeffPoly.from_json, compute)
+            values[key] = cached(cache_dir, kind, cache_key, "value", CoeffPoly.from_json, compute)
         except (ConsistencyError, NonExactDivision) as exc:
             detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
-            record = _violation("internal", lam, mu, None, detail)
-            if dg is not None:
-                record["marking"] = format_marked(dg)
-            internal.append(record)
-
-    for mu in domain[d]:
-        attempt(values, (lam, mu), "kostka", _kostka_key(lam, mu),
-                lambda: kostka(lam, mu).value, mu)
-        if marked:
-            for dg in all_markings(mu):
-                attempt(marked_values, (lam, mu, dg.marked), "marked", _marked_key(lam, dg),
-                        lambda: marked_kostka(lam, dg), mu, dg)
+            internal.append(_violation("internal", lam, mu, None, detail, d))
     el = kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)).element
-    return values, marked_values, {mu: el.coefficient(mu) for mu in domain[d]}, internal
+    return values, {mu: el.coefficient(mu) for mu in domain[weight(lam)]}, internal
+
+
+def _all_cached(lams, domain, marked, cache_dir):
+    """Whether cache_dir holds an entry for every main-pass value of lams.
+
+    Then the main pass only reads the cache and solves the KL windows, and
+    starting worker processes would cost more than it saves.
+    """
+    return cache_dir is not None and all(
+        os.path.exists(cache_path(cache_dir, kind, cache_key))
+        for lam in lams
+        for kind, _, cache_key, *_ in _entries(lam, domain, marked)
+    )
 
 
 def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
@@ -412,127 +444,105 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     With jobs > 1 the lambdas are spread over that many worker processes.
     A value whose computation fails a certificate becomes an "internal"
     violation; the checks that need it skip it, and the scan goes on.
+
+    The work runs in four phases, each a generator of violation records
+    timed under its name: kostka (every value and KL window), conjectures,
+    mpart and q0_kl.
     """
     t_start = time.perf_counter()
     if max_len is None:
         max_len = max(max_weight, 1)
     domain = {d: compositions_of(d, max_len) for d in range(max_weight + 1)}
     all_lams = [lam for d in range(max_weight + 1) for lam in domain[d]]
-    timings = {}
-    violations = []
+    values = {}  # store key of _entries -> value
+    kl_vectors = {}
 
     def note(msg):
         if progress is not None:
             progress(msg)
 
-    # main pass: every pair value, plus marked refinements and KL windows
-    t0 = time.perf_counter()
-    values = {}
-    marked_values = {}
-    kl_vectors = {}
-    worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
-                               max_len=max_len, cache_dir=cache_dir)
-    pool = None
-    if jobs > 1 and not _all_cached(all_lams, domain, marked, cache_dir):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    def pairs():
+        return sorted(item for item in values.items() if len(item[0]) == 2)
 
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
-                                   mp_context=multiprocessing.get_context("spawn"))
-    try:
-        rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
-        for k, (lam, (vals, marks, kl, internal)) in enumerate(zip(all_lams, rows)):
-            values.update(vals)
-            marked_values.update(marks)
-            kl_vectors[lam] = kl
-            violations.extend(internal)
-            note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-    timings["kostka"] = round(time.perf_counter() - t0, 3)
+    def main_pass():
+        worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
+                                   max_len=max_len, cache_dir=cache_dir)
+        pool = None
+        if jobs > 1 and not _all_cached(all_lams, domain, marked, cache_dir):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    # conjecture verdicts
-    t0 = time.perf_counter()
-    min_v = None
-    for (lam, mu), val in sorted(values.items()):
-        if val:
-            low = val.min_v_exp()
-            min_v = low if min_v is None else min(min_v, low)
-        if not (val.is_v_polynomial() and val.is_q_polynomial() and val.is_nonneg()):
-            violations.append(_violation("kostka_positivity", lam, mu, val))
-    for d in range(max_weight + 1):
-        for mu in domain[d]:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
+                                       mp_context=multiprocessing.get_context("spawn"))
+        try:
+            rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
+            for k, (lam, (vals, kl, internal)) in enumerate(zip(all_lams, rows)):
+                values.update(vals)
+                kl_vectors[lam] = kl
+                yield from internal
+                note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+
+    def conjectures():
+        for (lam, mu), val in pairs():
+            if not (val.is_v_polynomial() and val.is_q_polynomial() and val.is_nonneg()):
+                yield _violation("kostka_positivity", lam, mu, val)
+            total = _marking_sum(mu, lambda d: values.get((lam, mu, d.marked)))
+            if total is not None and total != val:
+                yield _violation("marked_decomposition", lam, mu, total,
+                                 "sum over markings differs")
+        for mu in all_lams:
             if not psi_e_polynomial(mu):
-                violations.append(
-                    _violation("psi_e_polynomial", None, mu, None, "coefficient outside Z[v,q]")
-                )
-    if marked:
-        for (lam, mu, marks), val in sorted(marked_values.items()):
-            if not (val.is_q_free() and val.is_v_polynomial() and val.is_nonneg()):
-                v = _violation("marked_positivity", lam, mu, val)
-                v["marking"] = format_marked(MarkedDiagram(mu, marks))
-                violations.append(v)
-        for (lam, mu), val in sorted(values.items()):
-            parts = [(dg, marked_values.get((lam, mu, dg.marked))) for dg in all_markings(mu)]
-            if any(part is None for _, part in parts):
-                continue
-            total = ZERO
-            for dg, part in parts:
-                a_stat, _ = marking_stats(dg)
-                total = total + part.shift(q_exp=a_stat)
-            if total != val:
-                violations.append(
-                    _violation("marked_decomposition", lam, mu, total, "sum over markings differs")
-                )
-    note("conjecture verdicts done")
-    timings["conjectures"] = round(time.perf_counter() - t0, 3)
+                yield _violation("psi_e_polynomial", None, mu, None,
+                                 "coefficient outside Z[v,q]")
+        for key, val in values.items():
+            if len(key) == 3 and not (val.is_q_free() and val.is_v_polynomial()
+                                      and val.is_nonneg()):
+                lam, mu, marks = key
+                yield _violation("marked_positivity", lam, mu, val,
+                                 marking=MarkedDiagram(mu, marks))
+        note("conjecture verdicts done")
 
-    # Mpart exchange spot checks
-    t0 = time.perf_counter()
-    for (lam, mu), val in sorted(values.items()):
-        p_lam = pad(lam, max_len + 1)
-        p_mu = pad(mu, max_len + 1)
-        for i in range(1, len(mu) + 1):
-            if p_mu[i - 1] > p_mu[i] and p_lam[i - 1] >= p_lam[i]:
-                smu = canonicalize(p_mu[: i - 1] + (p_mu[i], p_mu[i - 1]) + p_mu[i + 1 :])
-                other = values.get((lam, smu))
-                if len(smu) > max_len or other is None:
-                    continue
-                if other != val * V:
-                    violations.append(
-                        _violation("mpart", lam, mu, other, "expected v*K at i=%d" % i)
-                    )
-    timings["mpart"] = round(time.perf_counter() - t0, 3)
+    def mpart():
+        for (lam, mu), val in pairs():
+            p_lam = pad(lam, max_len + 1)
+            p_mu = pad(mu, max_len + 1)
+            for i in range(1, len(mu) + 1):
+                if p_mu[i - 1] > p_mu[i] and p_lam[i - 1] >= p_lam[i]:
+                    other = values.get((lam, swap(mu, i)))
+                    if other is not None and other != val * V:
+                        yield _violation("mpart", lam, mu, other, "expected v*K at i=%d" % i)
 
-    # q=0 agreement with the KL expansion on the scanned window
-    t0 = time.perf_counter()
-    for lam in all_lams:
-        for mu in domain[weight(lam)]:
-            val = values.get((lam, mu))
-            if val is None:
-                continue
+    def q0_kl():
+        for (lam, mu), val in pairs():
             try:
                 q0 = val.specialize_q0()
             except ValueError:
                 q0 = None
             if q0 != kl_vectors[lam][mu]:
-                violations.append(
-                    _violation("q0_kl", lam, mu, val, "q=0 disagrees with the KL coefficient")
-                )
-    timings["q0_kl"] = round(time.perf_counter() - t0, 3)
+                yield _violation("q0_kl", lam, mu, val, "q=0 disagrees with the KL coefficient")
 
+    timings = {}
+    violations = []
+    phases = {"kostka": main_pass, "conjectures": conjectures, "mpart": mpart, "q0_kl": q0_kl}
+    for name, phase in phases.items():
+        t0 = time.perf_counter()
+        violations.extend(phase())
+        timings[name] = round(time.perf_counter() - t0, 3)
     violations.sort(key=lambda v: (v["check"], v["lambda"] or "", v["mu"] or "", v.get("marking", "")))
     timings["total"] = round(time.perf_counter() - t_start, 3)
+    table = pairs()
     report = {
         "format": 1,
         "max_weight": max_weight,
         "max_len": max_len,
         "marked": marked,
-        "pairs": len(values),
+        "pairs": len(table),
         "violations": violations,
         "timings": timings,
-        "min_v_exponent_observed": min_v,
+        "min_v_exponent_observed": min((val.min_v_exp() for _, val in table if val), default=None),
     }
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -542,7 +552,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lambda", "mu", "kostka"])
-            for (lam, mu), val in sorted(values.items()):
+            for (lam, mu), val in table:
                 writer.writerow(
                     [
                         format_composition(lam),
@@ -553,35 +563,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     return report
 
 
-def _all_cached(lams, domain, marked, cache_dir):
-    """Whether cache_dir holds an entry for every main-pass value of lams.
-
-    Then the main pass only reads the cache and solves the KL windows, and
-    starting worker processes would cost more than it saves.
-    """
-    if cache_dir is None:
-        return False
-    for lam in lams:
-        for mu in domain[weight(lam)]:
-            if not os.path.exists(cache_path(cache_dir, "kostka", _kostka_key(lam, mu))):
-                return False
-            if marked and not all(
-                os.path.exists(cache_path(cache_dir, "marked", _marked_key(lam, dg)))
-                for dg in all_markings(mu)
-            ):
-                return False
-    return True
-
-
-def _kostka_key(lam, mu):
-    return {"lambda": format_composition(lam), "mu": format_composition(mu)}
-
-
-def _marked_key(lam, d):
-    return {"lambda": format_composition(lam), "marked": format_marked(d)}
-
-
-def _violation(check, lam, mu, val, detail=None):
+def _violation(check, lam, mu, val, detail=None, marking=None):
     out = {
         "check": check,
         "lambda": None if lam is None else format_composition(lam),
@@ -590,4 +572,6 @@ def _violation(check, lam, mu, val, detail=None):
     }
     if detail:
         out["detail"] = detail
+    if marking is not None:
+        out["marking"] = format_marked(marking)
     return out

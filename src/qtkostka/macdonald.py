@@ -27,14 +27,12 @@ from .compositions import (
     marking_stats,
     pad,
     sorting_data,
+    swap,
     weight,
 )
-from .memo import memoized, table
+from .memo import memoized
 from .parabolic import ModuleElement, bar_d
 from .polyrep import from_module
-
-# (rank, lambda) -> E~_lambda, filled along the star chain
-_E_CACHE = table()
 
 
 @dataclass(frozen=True)
@@ -45,26 +43,13 @@ class MacdonaldResult:
     normalization: CoeffPoly
 
 
+@memoized
 def _e_element(lam, n):
-    key = (n, lam)
-    hit = _E_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # materialize the star chain bottom-up so deep shapes do not recurse
-    chain = []
-    cur = lam
-    while cur and (n, cur) not in _E_CACHE:
-        chain.append(cur)
-        cur = lambda_star(cur)[0]
-    x = _E_CACHE.get((n, cur), None)
-    if x is None:
-        x = ModuleElement.basis((), n)
-        _E_CACHE[(n, ())] = x
-    for shape in reversed(chain):
-        star, m, a = lambda_star(shape)
-        x = x.letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, shape[m - 1]))
-        _E_CACHE[(n, shape)] = x
-    return _E_CACHE[key]
+    """E~_lambda at rank n, one letter on E~ of lambda* down the star chain."""
+    if not lam:
+        return ModuleElement.basis((), n)
+    star, m, a = lambda_star(lam)
+    return _e_element(star, n).letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, lam[m - 1]))
 
 
 def e_tilde(lam, n):
@@ -159,7 +144,7 @@ def intertwiner_check(mu, i, n):
         raise ValueError("index out of range")
     if p[i - 1] == p[i]:
         raise ValueError("s_i fixes mu; the intertwiner degenerates")
-    smu = canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
+    smu = swap(mu, i)
     w = sorting_data(mu, n).images
     f = CoeffPoly.monomial(1, 2 * (w[i] - w[i - 1]), p[i - 1] - p[i])
     e_mu = e_tilde(mu, n).element.scale(CoeffPoly.v_power(-sorting_data(mu, n).inversions))

@@ -2,8 +2,9 @@
 
 Every module-level memo of the package is made here, so one call empties
 them all: a memoized function is an unbounded lru_cache, and a table is a
-plain dict for the memos that a loop or an explicit stack fills rather than
-a call.  Both register how to clear themselves; clear_caches walks that list.
+plain dict.  Tables remain only for the hot-loop key memos of parabolic.py
+(swaps, rotations, shared keys and letter rows).  Both register how to clear
+themselves; clear_caches walks that list.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .compositions import (
     lambda_star,
     omega_star,
     pad,
+    swap,
 )
 from .memo import memoized, table
 from .sparse import SparseVector
@@ -54,9 +55,7 @@ def _swap_entry(lam, i):
     b = lam[i] if i < len(lam) else 0
     if a == b:
         return (0, lam)
-    p = pad(lam, max(len(lam), i + 1))
-    swapped = canonicalize(p[: i - 1] + (b, a) + p[i + 1 :])
-    return ((1 if a < b else -1), swapped)
+    return ((1 if a < b else -1), swap(lam, i))
 
 
 def _add_term(acc, key, c):
@@ -296,10 +295,6 @@ def _psi_monomial(lam, n):
 
 # -- the bar involution -----------------------------------------------------------
 
-# (rank, lambda) -> d(M^lambda)
-_D_CACHE = table()
-
-
 def d_basis(lam, n):
     """d(M^lambda), built once per (rank, lambda).
 
@@ -314,33 +309,20 @@ def d_basis(lam, n):
     lam = canonicalize(lam)
     if len(lam) > n:
         raise ValueError("rank %d too small for %r" % (n, lam))
-    key = (n, lam)
-    hit = _D_CACHE.get(key)
-    if hit is not None:
-        return hit
-    stack = [lam]
-    while stack:
-        cur = stack[-1]
-        if (n, cur) in _D_CACHE:
-            stack.pop()
-            continue
-        if not cur:
-            _D_CACHE[(n, cur)] = ModuleElement.basis((), n)
-            stack.pop()
-            continue
-        p = pad(cur, n)
-        i = next((k + 1 for k in range(n - 1) if p[k] > p[k + 1]), None)
-        if i is None:
-            prev, m, _ = lambda_star(cur)
-        else:
-            prev = canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
-        prow = _D_CACHE.get((n, prev))
-        if prow is None:
-            stack.append(prev)
-            continue
-        _D_CACHE[(n, cur)] = prow.phibar_op(m) if i is None else prow.hi_inv(i)
-        stack.pop()
-    return _D_CACHE[key]
+    return _d_row(lam, n)
+
+
+@memoized
+def _d_row(lam, n):
+    """The row of d_basis: hi_inv at the first descent, else Phibar_m on lambda*."""
+    if not lam:
+        return ModuleElement.basis((), n)
+    p = pad(lam, n)
+    i = next((k + 1 for k in range(n - 1) if p[k] > p[k + 1]), None)
+    if i is None:
+        star, m, _ = lambda_star(lam)
+        return _d_row(star, n).phibar_op(m)
+    return _d_row(swap(lam, i), n).hi_inv(i)
 
 
 def bar_d(x):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .coeffs import CoeffPoly, ONE, VINV, V_MINUS_VINV
 from .bruhat import min_rep_length
-from .compositions import canonicalize, pad, sorting_data
+from .compositions import canonicalize, pad, sorting_data, swap
 from .parabolic import ModuleElement, psi_monomial
 from .sparse import SparseVector
 
@@ -48,8 +48,7 @@ class ZPoly(SparseVector):
         """Exchange z_i and z_{i+1}."""
         acc = {}
         for tau, c in self.terms.items():
-            p = pad(tau, max(len(tau), i + 1))
-            acc[canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])] = c
+            acc[swap(tau, i)] = c
         return self._raw(acc)
 
     def hi(self, i):

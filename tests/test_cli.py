@@ -163,6 +163,33 @@ def test_cache_round_trip(runner, tmp_path, monkeypatch):
     assert second.output == first.output
 
 
+def test_kostka_command_and_scan_share_cache_entries(runner, tmp_path, monkeypatch):
+    from qtkostka import scan
+    from qtkostka.cache import cache_path
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("KOSTKA_CACHE", str(cache))
+    r = runner.invoke(cli.main, ["kostka", "--lambda", "2", "--mu", "1,1", "--marked"])
+    assert r.exit_code == 0
+    stored = {str(path) for path in cache.rglob("*.json")}
+    assert len(stored) == 1 + 4
+
+    cache_module = sys.modules["qtkostka.cache"]
+    real_put = cache_module.cache_put
+    written = []
+
+    def spy(root, kind, key, payload):
+        written.append(cache_path(root, kind, key))
+        return real_put(root, kind, key, payload)
+
+    monkeypatch.setattr(cache_module, "cache_put", spy)
+    scan(2, cache_dir=str(cache))
+    # scan(2) holds 14 values and 45 marked values; it finds the 5 the command stored
+    assert len(written) == 14 + 45 - 5
+    assert not stored & set(written)
+    assert {str(path) for path in cache.rglob("*.json")} == stored | set(written)
+
+
 def test_cache_round_trip_elements(runner, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("KOSTKA_CACHE", str(cache))

@@ -26,6 +26,7 @@ from qtkostka.compositions import (
     parse_marked,
     partition_length,
     sorting_data,
+    swap,
     weight,
 )
 
@@ -47,6 +48,14 @@ def test_weight_length_pad():
     assert pad((1, 2, 3), 3) == (1, 2, 3)
     with pytest.raises(ValueError):
         pad((1, 2, 3), 2)
+
+
+def test_swap_exchanges_adjacent_entries_and_trims():
+    assert swap((2,), 1) == (0, 2)
+    assert swap((0, 2), 1) == (2,)
+    assert swap((1, 2, 3), 2) == (1, 3, 2)
+    assert swap((1, 2), 2) == (1, 0, 2)
+    assert swap((1,), 3) == (1,)
 
 
 def test_partition_length():

@@ -11,7 +11,7 @@ import pytest
 
 import qtkostka
 
-from qtkostka.cache import cache_path
+from qtkostka.cache import cache_path, cache_put
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
 from qtkostka.compositions import (
     MarkedDiagram,
@@ -529,6 +529,54 @@ def test_scan_records_an_internal_failure_and_finishes(tmp_path, monkeypatch):
     monkeypatch.undo()
     again = scan(2, cache_dir=str(cache))
     assert again["violations"] == [] and again["pairs"] == 14
+
+
+_DIFFERS = "sum over markings differs"
+_MPART = "expected v*K at i=1"
+_Q0 = "q=0 disagrees with the KL coefficient"
+
+
+@pytest.mark.parametrize("kind, key, value, want", [
+    # K_{11,2} = q: every check that reads it fires
+    ("kostka", {"lambda": "1,1", "mu": "2"}, -V, [
+        {"check": "kostka_positivity", "lambda": "1,1", "mu": "2", "value": (-V).to_json()},
+        {"check": "marked_decomposition", "lambda": "1,1", "mu": "2", "value": Q.to_json(),
+         "detail": _DIFFERS},
+        {"check": "mpart", "lambda": "1,1", "mu": "2", "value": (Q * V).to_json(),
+         "detail": _MPART},
+        {"check": "q0_kl", "lambda": "1,1", "mu": "2", "value": (-V).to_json(), "detail": _Q0},
+    ]),
+    ("marked", {"lambda": "2", "marked": "1,1|"}, -V, [
+        {"check": "marked_decomposition", "lambda": "2", "mu": "1,1", "value": (-V).to_json(),
+         "detail": _DIFFERS},
+        {"check": "marked_positivity", "lambda": "2", "mu": "1,1", "value": (-V).to_json(),
+         "marking": "1,1|"},
+    ]),
+    # positive but wrong: K_{2,2} = 1
+    ("kostka", {"lambda": "2", "mu": "2"}, Q + V * V * V, [
+        {"check": "marked_decomposition", "lambda": "2", "mu": "2", "value": ONE.to_json(),
+         "detail": _DIFFERS},
+        {"check": "mpart", "lambda": "2", "mu": "2", "value": V.to_json(), "detail": _MPART},
+        {"check": "q0_kl", "lambda": "2", "mu": "2", "value": (Q + V * V * V).to_json(),
+         "detail": _Q0},
+    ]),
+], ids=["kostka_11_2", "marked_2_11", "kostka_2_2"])
+def test_scan_checks_report_a_planted_cache_entry(tmp_path, kind, key, value, want):
+    root = str(tmp_path / "cache")
+    assert cache_put(root, kind, key, {"value": value.to_json()})
+    rep = scan(2, cache_dir=root)
+    assert rep["violations"] == want
+    assert rep["pairs"] == 14
+
+
+def test_scan_reports_a_psi_e_coefficient_outside_z_v_q(monkeypatch):
+    module = sys.modules["qtkostka.kostka"]
+    real = module.psi_e_polynomial
+    monkeypatch.setattr(module, "psi_e_polynomial", lambda mu: mu != (1, 1) and real(mu))
+    assert scan(2)["violations"] == [
+        {"check": "psi_e_polynomial", "lambda": None, "mu": "1,1", "value": None,
+         "detail": "coefficient outside Z[v,q]"},
+    ]
 
 
 def test_import_loads_no_process_pool_machinery():

@@ -6,11 +6,19 @@ v^{2k}.  Coefficients are arbitrary-precision Python ints.
 
 A polynomial is a map (v_exp, q_exp) -> nonzero int.  Instances are treated
 as immutable; no method mutates self.
+
+Sums of products are accumulated in place by one kernel: add_product adds
+k v^a q^b (p r) into a plain terms dict, and finish drops the zeros and wraps
+the dict as a CoeffPoly without copying it.  The kernel takes each new
+exponent pair from one shared table (_PAIRS), so equal pairs in the
+coefficients it builds are one tuple object.  Keys are therefore shared
+between polynomials, and the dicts behind them may be memoized: no caller may
+mutate a terms dict it did not build.
 """
 
 from __future__ import annotations
 
-from .memo import memoized
+from .memo import memoized, table
 
 
 class NonExactDivision(ArithmeticError):
@@ -116,17 +124,8 @@ class CoeffPoly:
         if len(self.terms) == 1:
             return other * self
         terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = terms
-        return out
+        add_product(terms, self, other)
+        return finish(terms)
 
     def __pow__(self, k):
         if k < 0:
@@ -151,6 +150,30 @@ class CoeffPoly:
         """Multiply by the monomial v^{v_exp} q^{q_exp}."""
         out = CoeffPoly.__new__(CoeffPoly)
         out.terms = {(a + v_exp, b + q_exp): c for (a, b), c in self.terms.items()}
+        return out
+
+    def echo(self, sign):
+        """sign (v - v^-1) self, as two shifted copies of self.
+
+        The echo term of the Hecke generators.  Like add_product, it takes
+        each exponent pair from the shared table.
+        """
+        pairs = _PAIRS
+        terms = {}
+        for (a, b), x in self.terms.items():
+            e = (a + 1, b)
+            terms[pairs.setdefault(e, e)] = sign * x
+        for (a, b), x in self.terms.items():
+            e = (a - 1, b)
+            s = terms.get(e)
+            if s is None:
+                terms[pairs.setdefault(e, e)] = -sign * x
+            elif s == sign * x:
+                del terms[e]
+            else:
+                terms[e] = s - sign * x
+        out = CoeffPoly.__new__(CoeffPoly)
+        out.terms = terms
         return out
 
     def __eq__(self, other):
@@ -321,6 +344,58 @@ class CoeffPoly:
 
     def __repr__(self):
         return "CoeffPoly(%s)" % self.pretty()
+
+
+# one tuple per (v_exp, q_exp) among the terms add_product inserts
+_PAIRS = table()
+
+
+def add_product(terms, p, r, k=1, a=0, b=0):
+    """terms += k v^a q^b (p * r), in place; terms is a plain dict of terms.
+
+    A pair new to terms is inserted as its shared tuple from _PAIRS; an
+    existing key keeps its object.  Sums that cancel stay as zeros until
+    finish.  A monomial factor is folded into (k, a, b), which makes the
+    common case, one side a monomial, a single pass.
+    """
+    if len(p.terms) == 1:
+        p, r = r, p
+    pairs = _PAIRS
+    get = terms.get
+    if len(r.terms) == 1:
+        ((a2, b2), y), = r.terms.items()
+        k *= y
+        a += a2
+        b += b2
+        for (a1, b1), x in p.terms.items():
+            e = (a1 + a, b1 + b)
+            s = get(e)
+            if s is None:
+                terms[pairs.setdefault(e, e)] = k * x
+            else:
+                terms[e] = s + k * x
+        return
+    for (a1, b1), x in p.terms.items():
+        x *= k
+        a1 += a
+        b1 += b
+        for (a2, b2), y in r.terms.items():
+            e = (a1 + a2, b1 + b2)
+            s = get(e)
+            if s is None:
+                terms[pairs.setdefault(e, e)] = x * y
+            else:
+                terms[e] = s + x * y
+
+
+def finish(terms):
+    """The CoeffPoly over an accumulated terms dict, zeros dropped, not copied."""
+    zeros = [e for e, c in terms.items() if not c]
+    for e in zeros:
+        del terms[e]
+    out = CoeffPoly.__new__(CoeffPoly)
+    out.terms = terms
+    return out
 
 
 ZERO = CoeffPoly.zero()

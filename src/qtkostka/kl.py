@@ -34,10 +34,10 @@ v^{-l(kappa)} s_sigma M^{sigma|m}.  Hence
     R[tau][sigma] = s_sigma A_sigma / bar(s_tau),
     A_sigma = sum_{kappa in orbit(sigma)} v^{-l(kappa)} r_{kappa0,kappa},
 
-r being the involution row of kappa0 (d_basis).  A_sigma is summed in
-CoeffPoly, each entry shifted by v^{-l(kappa)}.  d(M^{tau|m}) is m-symmetric
-as M^{tau|m} is, so the division by bar(s_tau) is exact on correct rows; a
-remainder raises ConsistencyError.
+r being the involution row of kappa0 (d_basis).  A_sigma is accumulated in
+place by coeffs.add_product, each entry shifted by v^{-l(kappa)}.
+d(M^{tau|m}) is m-symmetric as M^{tau|m} is, so the division by bar(s_tau)
+is exact on correct rows; a remainder raises ConsistencyError.
 
 The solve.  p_lambda = 1; walking the representatives in decreasing
 min_rep_length, p_sigma = skew_positive_part(sum_tau bar(p_tau) R[tau][sigma]).
@@ -69,7 +69,7 @@ import functools
 from dataclasses import dataclass
 
 from .bruhat import min_rep_length
-from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, add_product, finish
 from .compositions import canonicalize, orbit, pad, partition_length
 from .memo import memoized
 from .parabolic import ModuleElement, d_basis
@@ -151,10 +151,11 @@ def _orbit_row(tau, m, n):
     for kappa, r in row.terms.items():
         q = pad(kappa, n)
         sigma = canonicalize(q[:m] + tuple(sorted(q[m:], reverse=True)))
-        sums[sigma] = sums.get(sigma, ZERO) + r.shift(v_exp=-_tail_inversions(q[m:]))
+        add_product(sums.setdefault(sigma, {}), r, ONE, 1, -_tail_inversions(q[m:]))
     s_bar = _s_factor(tau, m, n).bar()
     out = {}
-    for sigma, a in sums.items():
+    for sigma, t in sums.items():
+        a = finish(t)
         if not a:
             continue
         try:
@@ -194,12 +195,12 @@ def _quotient_solve(lam, n):
     if order[0] != lam:
         raise ConsistencyError("support closure of %r is not topped by it" % (lam,))
     coeffs = {}
-    acc = {}
+    acc = {sigma: {} for sigma in order}
     for sigma in order:
         if sigma == lam:
             p = ONE
         else:
-            g = acc.get(sigma)
+            g = finish(acc[sigma])
             if not g:
                 continue
             p = skew_positive_part(g)
@@ -213,14 +214,15 @@ def _quotient_solve(lam, n):
         pb = p.bar()
         for nu, r in rows[sigma].items():
             if nu != sigma:
-                acc[nu] = acc.get(nu, ZERO) + pb * r
+                add_product(acc[nu], pb, r)
 
     # self-duality from scratch: d(el) = sum_tau bar(p_tau) R[tau] must be el
-    image = {}
+    image = {sigma: {} for sigma in order}
     for tau, p in coeffs.items():
         pb = p.bar()
         for sigma, r in rows[tau].items():
-            image[sigma] = image.get(sigma, ZERO) + pb * r
+            add_product(image[sigma], pb, r)
+    image = {sigma: finish(t) for sigma, t in image.items()}
     if {sigma: c for sigma, c in image.items() if c} != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
     return KLElement(lam, n, m, coeffs)

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .cache import cache_path, cached
-from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO, add_product, finish
 from .compositions import (
     MarkedDiagram,
     all_markings,
@@ -121,7 +121,7 @@ def pair(x, y, quotients=None):
         raise ValueError("expansions live at different (m, rank)")
     if quotients is None:
         quotients = {}
-    out = ZERO
+    out = {}
     for tau, xc in x.terms.items():
         q = quotients.get(tau)
         if q is None:
@@ -129,20 +129,20 @@ def pair(x, y, quotients=None):
             if yc is None:
                 continue
             q = quotients[tau] = yc.exact_div(CoeffPoly.b_partition(tau[x.m :]))
-        out = out + xc * q
-    return out
+        add_product(out, xc, q)
+    return finish(out)
 
 
 def pair_truncated(x, y):
     """Plain orthonormal pairing of standard-basis coefficients at finite rank."""
     if x.rank != y.rank:
         raise ValueError("rank mismatch")
-    out = ZERO
+    out = {}
     for tau, xc in x.terms.items():
         yc = y.terms.get(tau)
         if yc is not None:
-            out = out + xc * yc
-    return out
+            add_product(out, xc, yc)
+    return finish(out)
 
 
 # -- Kostka functions ---------------------------------------------------------
@@ -206,12 +206,27 @@ def kostka_q0_check(lam, max_len=None):
     """
     lam = canonicalize(lam)
     _, n = _ranks(lam, ())
-    el = kl_element(lam, n).element
     window = n if max_len is None else min(max_len, n)
-    for mu in compositions_of(weight(lam), window):
-        if kostka(lam, mu).value.specialize_q0() != el.coefficient(mu):
-            return False
-    return True
+    values = ((mu, kostka(lam, mu).value) for mu in compositions_of(weight(lam), window))
+    return next(_q0_disagreements(kl_element(lam, n), values), None) is None
+
+
+def _q0_disagreements(kl, values):
+    """The mu of values, pairs (mu, K_{lambda,mu}), where K at q=0 is not the
+    coefficient of the KL element kl at mu.
+
+    A value with a negative q power has no q=0 part and disagrees.  The
+    coefficients are read from kl.expansion, so the ModuleElement of kl is
+    never built.
+    """
+    coeffs = kl.expansion(kl.rank)
+    for mu, val in values:
+        try:
+            q0 = val.specialize_q0()
+        except ValueError:
+            q0 = None
+        if q0 != coeffs.get(mu, ZERO):
+            yield mu
 
 
 def marked_kostka(lam, d):
@@ -240,13 +255,13 @@ def marked_decomposition_check(lam, mu):
 
 def _marking_sum(mu, value_of):
     """sum over the markings d of mu of q^A(d) value_of(d), or None if a part is missing."""
-    total = ZERO
+    total = {}
     for d in all_markings(mu):
         part = value_of(d)
         if part is None:
             return None
-        total = total + part.shift(q_exp=marking_stats(d)[0])
-    return total
+        add_product(total, part, ONE, 1, 0, marking_stats(d)[0])
+    return finish(total)
 
 
 # -- independent routes: Schur pipeline and the charge statistic --------------
@@ -400,11 +415,10 @@ def _entries(lam, domain, marked):
 def _scan_lambda(lam, domain, marked, max_len, cache_dir):
     """The main-pass results of one lambda, each read from or written to the cache.
 
-    Returns the values under their _entries store keys, the coefficients of
-    the KL element over lambda on the scanned window of mu, and an
-    "internal" record for each value whose computation raised
-    ConsistencyError or NonExactDivision.  Such a value is left out and not
-    cached.  The KL rank covers every mu in the window.
+    Returns the values under their _entries store keys, the KL element over
+    lambda at a rank that covers every mu in the window, and an "internal"
+    record for each value whose computation raised ConsistencyError or
+    NonExactDivision.  Such a value is left out and not cached.
     """
     values = {}
     internal = []
@@ -414,8 +428,7 @@ def _scan_lambda(lam, domain, marked, max_len, cache_dir):
         except (ConsistencyError, NonExactDivision) as exc:
             detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
             internal.append(_violation("internal", lam, mu, None, detail, d))
-    el = kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)).element
-    return values, {mu: el.coefficient(mu) for mu in domain[weight(lam)]}, internal
+    return values, kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)), internal
 
 
 def _all_cached(lams, domain, marked, cache_dir):
@@ -455,7 +468,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     domain = {d: compositions_of(d, max_len) for d in range(max_weight + 1)}
     all_lams = [lam for d in range(max_weight + 1) for lam in domain[d]]
     values = {}  # store key of _entries -> value
-    kl_vectors = {}
+    kl_elements = {}
 
     def note(msg):
         if progress is not None:
@@ -478,7 +491,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
             rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
             for k, (lam, (vals, kl, internal)) in enumerate(zip(all_lams, rows)):
                 values.update(vals)
-                kl_vectors[lam] = kl
+                kl_elements[lam] = kl
                 yield from internal
                 note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
         finally:
@@ -516,13 +529,11 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
                         yield _violation("mpart", lam, mu, other, "expected v*K at i=%d" % i)
 
     def q0_kl():
-        for (lam, mu), val in pairs():
-            try:
-                q0 = val.specialize_q0()
-            except ValueError:
-                q0 = None
-            if q0 != kl_vectors[lam][mu]:
-                yield _violation("q0_kl", lam, mu, val, "q=0 disagrees with the KL coefficient")
+        for lam, kl in kl_elements.items():
+            row = [(mu, values[(lam, mu)]) for mu in domain[weight(lam)] if (lam, mu) in values]
+            for mu in _q0_disagreements(kl, row):
+                yield _violation("q0_kl", lam, mu, values[(lam, mu)],
+                                 "q=0 disagrees with the KL coefficient")
 
     timings = {}
     violations = []

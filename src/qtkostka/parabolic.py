@@ -27,7 +27,7 @@ Every memo here comes from memo.py, which also clears them.
 
 from __future__ import annotations
 
-from .coeffs import CoeffPoly, ONE, V, VINV, V_MINUS_VINV, ZERO
+from .coeffs import CoeffPoly, ONE, ZERO, add_product, finish
 from .compositions import (
     canonicalize,
     format_composition,
@@ -38,8 +38,6 @@ from .compositions import (
 )
 from .memo import memoized, table
 from .sparse import SparseVector
-
-_VINV_MINUS_V = -V_MINUS_VINV
 
 # (lambda, i) -> (case, s_i lambda) with case = sign(lambda_{i+1} - lambda_i);
 # (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
@@ -85,7 +83,7 @@ class ModuleElement(SparseVector):
 
     def hi(self, i):
         """Apply the Hecke generator H_i, 1 <= i <= rank-1."""
-        return self._hecke(i, VINV, _VINV_MINUS_V, -1)
+        return self._hecke(i, -1)
 
     def hi_inv(self, i):
         """Apply H_i^{-1} = H_i + (v - v^{-1}).
@@ -93,14 +91,14 @@ class ModuleElement(SparseVector):
         Folded per case: an equal pair picks up v, an ascent keeps the
         (v - v^{-1}) echo, and a descent is a plain swap.
         """
-        return self._hecke(i, V, V_MINUS_VINV, 1)
+        return self._hecke(i, 1)
 
-    def _hecke(self, i, diag, echo, echo_case):
-        """Shared loop of hi and hi_inv.
+    def _hecke(self, i, sign):
+        """Shared loop of hi (sign -1) and hi_inv (sign 1).
 
-        An equal pair is scaled by diag; otherwise the key is swapped, and the
-        case sign(lambda_{i+1} - lambda_i) == echo_case also keeps echo times
-        the old key.
+        An equal pair is scaled by v^sign; otherwise the key is swapped, and
+        the case sign(lambda_{i+1} - lambda_i) == sign also keeps the echo
+        sign (v - v^{-1}) times the old key, as two shifted copies.
         """
         n = self.rank
         if not 1 <= i <= n - 1:
@@ -114,11 +112,11 @@ class ModuleElement(SparseVector):
                 hit = memo[key] = _swap_entry(lam, i)
             case, swapped = hit
             if case == 0:
-                _add_term(acc, lam, c * diag)
+                _add_term(acc, lam, c.shift(v_exp=sign))
             else:
                 _add_term(acc, swapped, c)
-                if case == echo_case:
-                    _add_term(acc, lam, c * echo)
+                if case == sign:
+                    _add_term(acc, lam, c.echo(sign))
         return self._raw(acc)
 
     def msym_read(self, m):
@@ -185,8 +183,9 @@ class ModuleElement(SparseVector):
         """a Phi_m(x) + b Phibar_m(x) for scalars a, b, in one accumulation.
 
         Both letters are linear and leave q alone, so Phi_m(x) = sum_kappa
-        x_kappa Phi_m(M^kappa), each coefficient scaled once and spread over
-        the memoized q-free row of its key.  With p = omega*(kappa), whose
+        x_kappa Phi_m(M^kappa): each coefficient times the scalar is added in
+        place (coeffs.add_product) at every term of the memoized q-free row
+        of its key.  With p = omega*(kappa), whose
         last entry is positive, Phi_m(M^kappa) = H_m ... H_{n-1} M^p, and
         these generators only touch positions m..n: the row is the prefix
         p[:m-1] followed by the row of the word p[m-1:] (_letter_row).
@@ -206,7 +205,6 @@ class ModuleElement(SparseVector):
                 if p is None:
                     p = omega[key] = omega_star(lam, n)
                 prefix = p[: m - 1]
-                ct = (c * f).terms
                 it = iter(_letter_row(p[m - 1 :], barred))
                 for u, e, k in zip(it, it, it):
                     nu = prefix + u
@@ -214,15 +212,8 @@ class ModuleElement(SparseVector):
                     if t is None:
                         nu = shared.setdefault(nu, nu)
                         t = acc[nu] = {}
-                    for (va, qb), y in ct.items():
-                        vq = (va + e, qb)
-                        t[vq] = t.get(vq, 0) + k * y
-        out = {}
-        for nu, t in acc.items():
-            c = CoeffPoly(t)
-            if c:
-                out[nu] = c
-        return self._raw(out)
+                    add_product(t, c, f, k, e)
+        return self._raw(_finish_all(acc))
 
     def z_op(self, i):
         """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
@@ -238,39 +229,39 @@ class ModuleElement(SparseVector):
         return x
 
 
-# (word, barred) -> the row H_1 ... H_{L-1} M^word over a word of length L
-# with a positive last entry (inverse generators if barred), as the flat
-# tuple (u_1, e_1, c_1, u_2, ...) of its q-free terms c v^e M^u
-_LETTER_MEMO = table()
+def _finish_all(acc):
+    """The nonzero finished coefficients of a dict of accumulated terms dicts."""
+    out = {}
+    for key, t in acc.items():
+        c = finish(t)
+        if c:
+            out[key] = c
+    return out
 
 
+@memoized
 def _letter_row(word, barred):
     """The row of one letter on a word, by Phi_m = H_m Phi_{m+1} read locally.
 
-    A one-entry word is its own row (Phi_n = omega, which letters has
-    applied).  Otherwise H_2 ... H_{L-1} leave the first entry alone, so the
-    row is H_1 (or H_1^{-1}) applied to word[0] followed by the row of
-    word[1:].
+    The row is H_1 ... H_{L-1} M^word over a word of length L with a positive
+    last entry (inverse generators if barred), as the flat tuple (u_1, e_1,
+    c_1, u_2, ...) of its q-free terms c v^e M^u.  A one-entry word is its
+    own row (Phi_n = omega, which letters has applied).  Otherwise H_2 ...
+    H_{L-1} leave the first entry alone, so the row is H_1 (or H_1^{-1})
+    applied to word[0] followed by the row of word[1:].
     """
-    key = (word, barred)
-    row = _LETTER_MEMO.get(key)
-    if row is not None:
-        return row
     if len(word) == 1:
-        row = (word, 0, 1)
-    else:
-        head = word[:1]
-        it = iter(_letter_row(word[1:], barred))
-        terms = {}
-        for u, e, k in zip(it, it, it):
-            terms.setdefault(head + u, {})[(e, 0)] = k
-        x = ModuleElement.zero(len(word))._raw({nu: CoeffPoly(t) for nu, t in terms.items()})
-        x = x.hi_inv(1) if barred else x.hi(1)
-        row = tuple(
-            z for nu, c in x.terms.items() for (e, _), k in c.terms.items() for z in (nu, e, k)
-        )
-    _LETTER_MEMO[key] = row
-    return row
+        return (word, 0, 1)
+    head = word[:1]
+    it = iter(_letter_row(word[1:], barred))
+    terms = {}
+    for u, e, k in zip(it, it, it):
+        terms.setdefault(head + u, {})[(e, 0)] = k
+    x = ModuleElement.zero(len(word))._raw({nu: CoeffPoly(t) for nu, t in terms.items()})
+    x = x.hi_inv(1) if barred else x.hi(1)
+    return tuple(
+        z for nu, c in x.terms.items() for (e, _), k in c.terms.items() for z in (nu, e, k)
+    )
 
 
 # -- monomial images under the standard embedding --------------------------------
@@ -331,5 +322,5 @@ def bar_d(x):
     for lam, c in x.terms.items():
         cb = c.bar()
         for nu, r in d_basis(lam, x.rank).terms.items():
-            _add_term(acc, nu, r * cb)
-    return ModuleElement.zero(x.rank)._raw(acc)
+            add_product(acc.setdefault(nu, {}), r, cb)
+    return ModuleElement.zero(x.rank)._raw(_finish_all(acc))

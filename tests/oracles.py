@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache
 
 from qtkostka.bruhat import min_rep_length
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish
 from qtkostka.compositions import box_enumeration, lambda_star
 from qtkostka.kl import skew_positive_part
 from qtkostka.parabolic import ModuleElement, d_basis
@@ -173,15 +173,6 @@ def oracle_leq(tau, eta, radius=16):
 # -- the full-rank Kazhdan-Lusztig solve and the word route of d -----------------
 
 
-def _add_product(acc, key, p, r):
-    """acc[key] += p * r, where acc holds the terms dicts of CoeffPolys."""
-    t = acc.setdefault(key, {})
-    for (a, b), x in p.terms.items():
-        for (c, d), y in r.terms.items():
-            e = (a + c, b + d)
-            t[e] = t.get(e, 0) + x * y
-
-
 @lru_cache(maxsize=None)
 def kl_solve_full(lam, n):
     """M^_lambda by the triangular solve over its whole rank-n support.
@@ -222,7 +213,7 @@ def kl_solve_full(lam, n):
             g = acc.get(mu)
             if g is None:
                 continue
-            p = skew_positive_part(CoeffPoly(g))
+            p = skew_positive_part(finish(g))
             if not p:
                 continue
             coeffs[mu] = p
@@ -234,7 +225,7 @@ def kl_solve_full(lam, n):
                 raise ConsistencyError(
                     "involution row of %r is not strictly triangular at %r" % (mu, nu)
                 )
-            _add_product(acc, nu, pb, r)
+            add_product(acc.setdefault(nu, {}), pb, r)
 
     el = ModuleElement(n, coeffs)
     for mu, c in el.terms.items():
@@ -250,8 +241,8 @@ def kl_solve_full(lam, n):
     for mu, p in el.terms.items():
         pb = p.bar()
         for nu, r in rows[mu].terms.items():
-            _add_product(image, nu, pb, r)
-    image = {nu: CoeffPoly(t) for nu, t in image.items()}
+            add_product(image.setdefault(nu, {}), pb, r)
+    image = {nu: finish(t) for nu, t in image.items()}
     if {nu: c for nu, c in image.items() if c} != el.terms:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
     return el

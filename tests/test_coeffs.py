@@ -11,6 +11,8 @@ from qtkostka.coeffs import (
     VINV,
     V_MINUS_VINV,
     ZERO,
+    add_product,
+    finish,
 )
 
 T = CoeffPoly.t_power(1)
@@ -160,3 +162,28 @@ def test_exact_div_inverts_multiplication(a, d):
 @settings(max_examples=120, deadline=None)
 def test_json_round_trips(p):
     assert CoeffPoly.from_json(p.to_json()) == p
+
+
+products = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2), polys, polys),
+    max_size=6,
+)
+
+
+@given(products)
+@settings(max_examples=120, deadline=None)
+def test_add_product_is_the_fold_of_sum_and_product(items):
+    terms = {}
+    want = ZERO
+    for k, a, b, p, r in items:
+        add_product(terms, p, r, k, a, b)
+        want = want + CoeffPoly.monomial(k, a, b) * p * r
+    got = finish(terms)
+    assert got == want
+    assert 0 not in got.terms.values()
+    # every product, then its negation: the sum cancels to the zero polynomial
+    terms = {}
+    for k, a, b, p, r in items:
+        add_product(terms, p, r, k, a, b)
+        add_product(terms, r, p, -k, a, b)
+    assert finish(terms) == ZERO and finish(terms).terms == {}

@@ -1,5 +1,6 @@
 """Tests for the stable pairing, Kostka values, markings, oracles and the scanner."""
 
+import dataclasses
 import json
 import os
 import re
@@ -245,9 +246,27 @@ def test_result_metadata():
 
 
 def test_q0_reproduces_kl():
+    qtkostka.clear_caches()
     for lam in [(2,), (1, 1), (0, 1), (2, 1)]:
         assert kostka_q0_check(lam), lam
     assert kostka_q0_check((3,), max_len=3)
+    # the KL coefficients are read from the orbit basis, never the full element
+    assert "element" not in vars(kl_element((2, 1), 4))
+
+
+def test_q0_check_catches_a_wrong_value(monkeypatch):
+    module = sys.modules["qtkostka.kostka"]
+    real = module.kostka
+
+    def wrong(lam, mu):
+        res = real(lam, mu)
+        if mu == (1, 1):
+            return dataclasses.replace(res, value=res.value + ONE)
+        return res
+
+    assert kostka_q0_check((2,))
+    monkeypatch.setattr(module, "kostka", wrong)
+    assert not kostka_q0_check((2,))
 
 
 def test_charge_oracle():

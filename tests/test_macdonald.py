@@ -3,7 +3,8 @@
 import pytest
 
 from oracles import e_tilde_chain, marked_e_chain
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V
+from qtkostka import clear_caches
+from qtkostka.coeffs import _PAIRS, CoeffPoly, ConsistencyError, ONE, V
 from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of
 from qtkostka.macdonald import (
     duality_check,
@@ -41,6 +42,23 @@ def test_e_tilde_and_marked_e_match_the_chain_oracle():
                 assert e_tilde(lam, n).element == e_tilde_chain(lam, n), (lam, n)
                 for dg in all_markings(lam):
                     assert marked_e(dg, n) == marked_e_chain(dg, n), (dg, n)
+
+
+def test_coefficients_of_one_e_tilde_share_their_exponent_pairs():
+    clear_caches()
+    el = e_tilde((2, 1, 1), 4).element
+    first = {}
+    repeats = 0
+    for c in el.terms.values():
+        for e in c.terms:
+            if e in first:
+                assert first[e] is e, e
+                repeats += 1
+            else:
+                first[e] = e
+    assert repeats > 0 and len(first) <= len(_PAIRS)
+    clear_caches()
+    assert not _PAIRS
 
 
 def test_e_tilde_trivial_cases():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import d_basis_word, letter_chain
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
-from qtkostka.compositions import all_markings, compositions_of
+from qtkostka.compositions import all_markings, compositions_of, pad, swap
 from qtkostka.macdonald import e_tilde, marked_e
 from qtkostka.bruhat import preceq
 from qtkostka.parabolic import (
@@ -236,6 +236,29 @@ def test_pretty():
 @settings(max_examples=60, deadline=None)
 def test_hi_roundtrip_random(x, i):
     assert x.hi(i).hi_inv(i) == x
+
+
+def _hecke_by_product(x, i, inverse):
+    """H_i x (H_i^{-1} x if inverse) case by case, every echo through CoeffPoly.__mul__."""
+    out = ModuleElement.zero(x.rank)
+    for lam, c in x.terms.items():
+        p = pad(lam, x.rank)
+        if p[i - 1] == p[i]:
+            out = out + ModuleElement.basis(lam, x.rank).scale(c * VINV)
+        else:
+            out = out + ModuleElement.basis(swap(lam, i), x.rank).scale(c)
+            if p[i - 1] > p[i]:
+                out = out + ModuleElement.basis(lam, x.rank).scale(c * (VINV - V))
+    if inverse:
+        out = out + x.scale(V - VINV)
+    return out
+
+
+@given(elements(4), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_two_shift_echo_matches_the_general_product(x, i):
+    assert x.hi(i) == _hecke_by_product(x, i, False)
+    assert x.hi_inv(i) == _hecke_by_product(x, i, True)
 
 
 @given(elements(3))

@@ -1,7 +1,8 @@
 """Record the benchmark of one checkout in BENCH_<pr>.json.
 
 Usage: python3 tools/bench.py --pr N [--root DIR] [--label TEXT]
-       python3 tools/bench.py --pr N [--root DIR] --ab PARENT_DIR --workload W [--pairs K]
+       python3 tools/bench.py --pr N [--root DIR] --ab PARENT_DIR --workload W
+                              [--workload W2 ...] [--pairs K]
 
 For each workload of BENCHMARK.json, runs the perfbench/run.py of the
 checkout at DIR (default: this repository) twice, untraced and then traced,
@@ -11,13 +12,14 @@ machine as perfbench reports it, and per workload the correctness counts,
 the end-to-end medians and the per-layer metrics.  perfbench is run as it
 is, in its own checkout; nothing in it is changed.
 
-With --ab, K pairs of untraced runs of workload W compare the checkout at
-PARENT_DIR with the one at DIR.  Each pair runs both sides with one seed
-(pair k uses seed k), and the side that runs first alternates, so a drift of
-the machine over minutes falls on both sides alike.  The A/B record under
-"ab" in BENCH_<N>.json is rewritten after every pair: each pair's
-end-to-end medians per side, and per metric the median of the K ratios
-change/parent with the number of pairs the change won.
+With --ab, K pairs of untraced runs of each workload W compare the checkout
+at PARENT_DIR with the one at DIR; --workload may be given more than once,
+and pair k then runs every workload in turn.  Each pair runs both sides with
+one seed (pair k uses seed k), and the side that runs first alternates, so a
+drift of the machine over minutes falls on both sides alike.  The one A/B
+record under "ab" in BENCH_<N>.json is rewritten after every pair: per
+workload, each pair's end-to-end medians per side, and per metric the median
+of the K ratios change/parent with the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -104,26 +106,29 @@ def ab_summary(pairs, metrics):
     return out
 
 
-def ab(parent, change, workload, pairs, label):
-    """Alternate untraced runs of workload on parent and change.
+def ab(parent, change, workloads, pairs, label):
+    """Alternate untraced runs of each of workloads on parent and change.
 
-    Yields the A/B record, summary included, after each pair.
+    Yields the A/B record, summaries included, after each pair.
     """
     spec = load_spec(change)
     roots = {"parent": parent, "change": change}
     # the machine line carries each side's src/ digest, which names the checkout
-    record = {"label": label, "workload": workload, "seconds": spec["run_seconds"],
-              "machine": {}, "pairs": [], "summary": {}}
+    record = {"label": label, "workloads": list(workloads), "seconds": spec["run_seconds"],
+              "machine": {}, "pairs": {w: [] for w in workloads},
+              "summary": {w: {} for w in workloads}}
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"seed": k, "order": list(order)}
-        for side in order:
-            result, record["machine"][side] = run_perfbench(roots[side], workload,
-                                                            spec["run_seconds"], 0, seed=k)
-            pair[side] = {"correct": result["correct"], "attempted": result["attempted"],
-                          "failed": result["failed"], "end_to_end": values(result)}
-        record["pairs"].append(pair)
-        record["summary"] = ab_summary(record["pairs"], spec["end_to_end"])
+        for workload in workloads:
+            pair = {"seed": k, "order": list(order)}
+            for side in order:
+                result, record["machine"][side] = run_perfbench(roots[side], workload,
+                                                                spec["run_seconds"], 0, seed=k)
+                pair[side] = {"correct": result["correct"], "attempted": result["attempted"],
+                              "failed": result["failed"], "end_to_end": values(result)}
+            record["pairs"][workload].append(pair)
+            record["summary"][workload] = ab_summary(record["pairs"][workload],
+                                                     spec["end_to_end"])
         yield record
 
 
@@ -133,7 +138,8 @@ def main(argv=None):
     ap.add_argument("--root", default=REPO, help="checkout to benchmark (default: this one)")
     ap.add_argument("--label", default="", help="what the checkout is, e.g. parent or change")
     ap.add_argument("--ab", metavar="PARENT_DIR", help="compare against this checkout")
-    ap.add_argument("--workload", help="the workload of an --ab comparison")
+    ap.add_argument("--workload", action="append",
+                    help="a workload of an --ab comparison; give it once per workload")
     ap.add_argument("--pairs", type=int, default=10, help="pairs of an --ab comparison")
     args = ap.parse_args(argv)
     if args.ab and (not args.workload or args.pairs < 1):
@@ -152,16 +158,18 @@ def main(argv=None):
     if args.ab:
         # the record is rewritten after every pair, so a cut run keeps its pairs
         data.setdefault("ab", []).append(None)
-        for record in ab(os.path.abspath(args.ab), os.path.abspath(args.root), args.workload,
-                         args.pairs, args.label):
+        for k, record in enumerate(ab(os.path.abspath(args.ab), os.path.abspath(args.root),
+                                      args.workload, args.pairs, args.label), start=1):
             data["ab"][-1] = record
             save()
-            print("pair %d/%d: %s" % (len(record["pairs"]), args.pairs, " ".join(
-                "%s %.3f (%d/%d)" % (name, s["median_ratio"], s["wins"], s["pairs"])
-                for name, s in record["summary"].items())), flush=True)
-        bad = sorted({side for p in record["pairs"] for side in ("parent", "change")
+            for workload, summary in record["summary"].items():
+                print("pair %d/%d %s: %s" % (k, args.pairs, workload, " ".join(
+                    "%s %.3f (%d/%d)" % (name, s["median_ratio"], s["wins"], s["pairs"])
+                    for name, s in summary.items())), flush=True)
+        bad = sorted({side for runs in record["pairs"].values() for p in runs
+                      for side in ("parent", "change")
                       if not p[side]["correct"] or p[side]["failed"]})
-        print("%s: %d pairs of %s recorded%s" % (path, len(record["pairs"]), args.workload,
+        print("%s: %d pairs of %s recorded%s" % (path, k, " ".join(args.workload),
                                                 ", incorrect: " + " ".join(bad) if bad else ""))
         return 1 if bad else 0
     record = dict(label=args.label, **bench(os.path.abspath(args.root)))

@@ -29,7 +29,7 @@ from .compositions import (
     weight,
 )
 from .bruhat import leq_affine, min_rep_length, preceq
-from .parabolic import ModuleElement, bar_d, d_basis, psi_monomial
+from .parabolic import ModuleElement, OrbitElement, bar_d, d_basis, psi_monomial
 from .polyrep import (
     ZPoly,
     bar_polynomial,
@@ -43,9 +43,11 @@ from .macdonald import (
     duality_check,
     e_box_product,
     e_monomial,
+    e_orbit,
     e_tilde,
     intertwiner_check,
     marked_e,
+    marked_orbit,
     marked_sum_check,
     symmetric_j,
 )

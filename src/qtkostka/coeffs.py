@@ -72,6 +72,14 @@ class CoeffPoly:
         return CoeffPoly({(0, k): 1})
 
     @staticmethod
+    def v_laurent(terms):
+        """sum_e terms[e] v^e, its exponent pairs taken from the shared table."""
+        pairs = _PAIRS
+        out = CoeffPoly.__new__(CoeffPoly)
+        out.terms = {pairs.setdefault((e, 0), (e, 0)): c for e, c in terms.items() if c}
+        return out
+
+    @staticmethod
     def t_power(k):
         """t^k = v^{2k}."""
         return CoeffPoly({(2 * k, 0): 1})
@@ -147,9 +155,20 @@ class CoeffPoly:
         return out
 
     def shift(self, v_exp=0, q_exp=0):
-        """Multiply by the monomial v^{v_exp} q^{q_exp}."""
+        """Multiply by the monomial v^{v_exp} q^{q_exp}.
+
+        The exponent pairs come from the shared table, like add_product's,
+        and the zero shift is self (instances are immutable).
+        """
+        if not v_exp and not q_exp:
+            return self
+        pairs = _PAIRS
+        terms = {}
+        for (a, b), c in self.terms.items():
+            e = (a + v_exp, b + q_exp)
+            terms[pairs.setdefault(e, e)] = c
         out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = {(a + v_exp, b + q_exp): c for (a, b), c in self.terms.items()}
+        out.terms = terms
         return out
 
     def echo(self, sign):

@@ -121,11 +121,13 @@ def column(lam, s):
     return above + below
 
 
+@memoized
 def box_enumeration(lam):
     """Boxes in application order with their column lengths.
 
     Columns are visited rightmost first, top to bottom inside a column.
-    Returns (boxes, column_lengths), both in that order.
+    Returns (boxes, column_lengths), both tuples in that order; memoized, so
+    no caller can change what the next one reads.
     """
     out = []
     cols = []
@@ -135,7 +137,7 @@ def box_enumeration(lam):
             if j <= lam[i - 1]:
                 out.append((i, j))
                 cols.append(column(lam, (i, j)))
-    return out, tuple(cols)
+    return tuple(out), tuple(cols)
 
 
 def lambda_star(lam):
@@ -171,6 +173,7 @@ class MarkedDiagram:
             raise ValueError("marks outside the diagram of %r" % (self.shape,))
 
 
+@memoized
 def marking_stats(d):
     """(A, L): sums of arm+1 and leg+1 over the marked boxes."""
     a = sum(arm(d.shape, s) + 1 for s in d.marked)
@@ -254,13 +257,31 @@ def orbit(tau, m, n, k=None):
     """
     p = pad(tau, n)
     head, tail = p[:m], p[m:]
-    base = sorting_data(tau, n).inversions
+    for t, shift in _tail_orbit(tail, len(tail) if k is None else k):
+        yield (head + t if t else canonicalize(head)), shift
+
+
+@memoized
+def _tail_orbit(tail, k):
+    """(t, shift) for the arrangements of tail weakly decreasing past k.
+
+    t is the arrangement with its trailing zeros trimmed.  inv counts the
+    pairs i < j with kappa_i < kappa_j, and two keys of one orbit agree on
+    the head and hold the same tail entries, so the pairs inside the head
+    and those from the head into the tail count alike, and the decreasing
+    tail of the representative has no ascending pair: shift, the difference
+    of inv against the representative, is the number of strict ascending
+    pairs in the arrangement.  Memoized per tail, not per key.
+    """
+    out = []
     for mid in arrangements(tail, k):
         rest = list(tail)
         for x in mid:
             rest.remove(x)
-        key = canonicalize(head + mid + tuple(sorted(rest, reverse=True)))
-        yield key, sorting_data(key, n).inversions - base
+        t = mid + tuple(sorted(rest, reverse=True))
+        shift = sum(1 for i, a in enumerate(t) for b in t[i + 1 :] if a < b)
+        out.append((canonicalize(t), shift))
+    return tuple(out)
 
 
 def compositions_of(d, max_len):

@@ -13,7 +13,7 @@ the p_tau by one triangular solve over this orbit basis (Deodhar's parabolic
 KL setting), at every rank n with one row per representative.  Every
 coefficient is then read off: the coefficient at a key kappa is
 v^{inv(kappa) - inv(tau)} p_tau, with tau the representative of kappa's orbit
-and inv from sorting_data (KLElement.expansion).
+and inv from sorting_data (OrbitElement.expansion).
 
 Orbit rows.  Let N = n - m and J = {m+1, ..., n-1}.  The element
 C_J = v^{N(N-1)/2} sum_{w in W_J} v^{-l(w)} H_w is bar-invariant, and
@@ -65,18 +65,17 @@ full-rank solve:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .bruhat import min_rep_length
 from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, add_product, finish
-from .compositions import canonicalize, orbit, pad, partition_length
+from .compositions import canonicalize, pad, partition_length
 from .memo import memoized
-from .parabolic import ModuleElement, d_basis
+from .parabolic import OrbitElement, d_basis
 
 
 @dataclass(frozen=True)
-class KLElement:
+class KLElement(OrbitElement):
     """M^_lambda at rank n as its coefficients over the orbit basis M^{tau|m}.
 
     m = partition_length(lambda); coeffs maps each representative tau with
@@ -84,24 +83,6 @@ class KLElement:
     """
 
     lam: tuple
-    rank: int
-    m: int
-    coeffs: dict
-
-    def expansion(self, m):
-        """The coefficients at the representatives for m >= self.m."""
-        if not self.m <= m <= self.rank:
-            raise ValueError("M^_%r is %d-symmetric, not %d" % (self.lam, self.m, m))
-        out = {}
-        for tau, p in self.coeffs.items():
-            for key, e in orbit(tau, self.m, self.rank, m - self.m):
-                out[key] = p.shift(v_exp=e)
-        return out
-
-    @functools.cached_property
-    def element(self):
-        """The element in the standard basis, every key its own representative."""
-        return ModuleElement(self.rank, self.expansion(self.rank))
 
 
 def skew_positive_part(g):
@@ -225,4 +206,4 @@ def _quotient_solve(lam, n):
     image = {sigma: finish(t) for sigma, t in image.items()}
     if {sigma: c for sigma, c in image.items() if c} != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
-    return KLElement(lam, n, m, coeffs)
+    return KLElement(n, m, coeffs, lam)

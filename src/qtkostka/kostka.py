@@ -34,16 +34,15 @@ from .compositions import (
     format_composition,
     format_marked,
     marking_stats,
-    orbit,
     pad,
     partition_length,
     swap,
     weight,
 )
 from .kl import kl_element
-from .macdonald import e_tilde, marked_e
+from .macdonald import e_orbit, marked_orbit
 from .memo import memoized
-from .parabolic import ModuleElement
+from .parabolic import OrbitElement
 from .polyrep import ZPoly, to_module
 
 
@@ -104,7 +103,7 @@ def msym_basis(tau, m, n):
         raise ValueError("rank too small")
     if partition_length(tau) > m:
         raise ValueError("%r is not a representative for m=%d" % (tau, m))
-    return ModuleElement(n, {key: CoeffPoly.v_power(e) for key, e in orbit(tau, m, n)})
+    return OrbitElement(n, m, {tau: ONE}).element
 
 
 def pair(x, y, quotients=None):
@@ -155,13 +154,17 @@ def _kl_expansion(lam, m, n):
 
 @memoized
 def _e_expansion(mu, m, n):
-    """The expansion of E~_mu, with the dict of its quotients for pair."""
-    return msym_expand(e_tilde(mu, n).element, m), {}
+    """The expansion of E~_mu, with the dict of its quotients for pair.
+
+    Read off the orbit form, certified row by row (proof in macdonald.py),
+    so the full E~ is never built.
+    """
+    return MSymExpansion(m, n, e_orbit(mu, n).expansion(m)), {}
 
 
 @memoized
 def _marked_expansion(d, m, n):
-    return msym_expand(marked_e(d, n), m), {}
+    return MSymExpansion(m, n, marked_orbit(d, n).expansion(m)), {}
 
 
 def _ranks(lam, mu):
@@ -381,10 +384,14 @@ def charge_oracle(lam, mu):
 
 
 def psi_e_polynomial(mu):
-    """Whether every coefficient of psi(E~_mu) lies in Z[v,q] (no negatives)."""
+    """Whether every coefficient of psi(E~_mu) lies in Z[v,q] (no negatives).
+
+    Each coefficient is v^e, e >= 0, times one at a representative, so the
+    representatives decide.
+    """
     mu = canonicalize(mu)
-    el = e_tilde(mu, default_rank(mu)).element
-    return all(c.is_v_polynomial() and c.is_q_polynomial() for c in el.terms.values())
+    coeffs = e_orbit(mu, default_rank(mu)).coeffs.values()
+    return all(c.is_v_polynomial() and c.is_q_polynomial() for c in coeffs)
 
 
 def kostka_key(lam, mu):

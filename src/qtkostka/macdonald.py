@@ -9,13 +9,54 @@ by a single word letter (Phi for an unmarked box, -Phibar for a marked one)
 and decompose E~ as a q,t-weighted sum over all markings.  The engine also
 provides the duality identity, the intertwiner relation and the symmetric
 polynomial J_mu, all used as cross-checks downstream.
+
+Orbit form.  E~ and every marked E~ are built as parabolic.OrbitElements:
+a symmetry index m and one coefficient p_tau per representative tau of the
+orbit basis M^{tau|m}, the basis the pairing reads.  The full element is
+expanded only when asked for (e_tilde(...).element, marked_e).
+
+Letters keep symmetry.  For c < i <= n-1, s_i s_c ... s_{n-1} = s_c ...
+s_{n-1} s_{i-1}, both sides reduced, so H_i H_c ... H_{n-1} = H_c ...
+H_{n-1} H_{i-1}; with omega H_i = H_{i-1} omega this gives H_i Phi_c =
+Phi_c H_i.  Inverting the reversed identity gives the same with inverse
+generators, and H_i^{-1} differs from H_i by a scalar, so H_i Phibar_c =
+Phibar_c H_i too.  Hence if H_i x = v^-1 x for every i > m', then H_i
+Phi_c(x) = v^-1 Phi_c(x) for every i > max(m', c): a letter maps an
+m'-symmetric element to a max(m', c)-symmetric one.  M^0 is 0-symmetric,
+so E~_lambda ends up l(lambda)-symmetric, and a marked E~ m-symmetric for
+its largest column length, at most l(shape).
+
+Orbit rows.  The image of the orbit sum M^{tau|m'} under Phi_c (or
+Phibar_c) is built once per (tau, m', c, n, barred) from the q-free word
+rows of parabolic._letter_row, over every key of tau's orbit (_orbit_row).
+A letter on an orbit form is then sum_tau p_tau image_tau, one
+coeffs.add_product per entry (tau, sigma) of the rows (_letters).
+
+Certificate.  Each orbit row is certified in full before its representative
+entries are kept: msym_read(max(m', c)) must find H_i = v^-1 on every
+two-term block for i > max(m', c), else ConsistencyError.  That is the
+block check msym_expand runs on a full element, and it implies (proof at
+kostka.msym_expand) that the image equals sum_sigma image_tau[sigma]
+M^{sigma|m}, m = max(m', c), read at its representatives.  By induction
+along the letter word, an orbit form with index m' and coefficients p_tau
+is exactly the element sum_tau p_tau M^{tau|m'}: true for M^0, and the
+letters are linear over Z[v^±1, q^±1], so
+
+    L(sum_tau p_tau M^{tau|m'}) = sum_sigma (sum_tau p_tau image_tau[sigma])
+                                  M^{sigma|m},
+
+which is the orbit form _letters returns.  Each M^{sigma|m} passes the
+block check (a test pins this for msym_basis), and the check is linear, so
+the final E~ passes the check msym_expand runs on it, and its
+representatives for any m'' >= m are OrbitElement.expansion(m'').  The
+pairing therefore reads expansion(m) and never builds a full E~.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, VINV, V, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO, add_product, finish
 from .compositions import (
     all_markings,
     arm,
@@ -25,40 +66,114 @@ from .compositions import (
     lambda_star,
     leg,
     marking_stats,
+    omega_star,
+    orbit,
     pad,
     sorting_data,
     swap,
     weight,
 )
 from .memo import memoized
-from .parabolic import ModuleElement, bar_d
+from .parabolic import ModuleElement, OrbitElement, _letter_row, bar_d
 from .polyrep import from_module
+
+# the letters (barred, k, a, b), each k v^a q^b times Phi_c or Phibar_c
+_PHI = ((False, 1, 0, 0),)
+_MINUS_PHIBAR = ((True, -1, 0, 0),)
 
 
 @dataclass(frozen=True)
 class MacdonaldResult:
     lam: tuple
     rank: int
-    element: ModuleElement
+    orbit: OrbitElement
     normalization: CoeffPoly
+
+    @property
+    def element(self):
+        """E~ in the standard basis, expanded on first access."""
+        return self.orbit.element
 
 
 @memoized
-def _e_element(lam, n):
-    """E~_lambda at rank n, one letter on E~ of lambda* down the star chain."""
+def _orbit_row(tau, m, c, n, barred):
+    """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
+
+    Returns its coefficients at the representatives for max(m, c).  The
+    image is sum_kappa v^e Phi_c(M^kappa) over the keys kappa of the orbit
+    with offsets e; Phi_c(M^kappa) is the prefix p[:c-1] of p =
+    omega*(kappa) followed by the row of the word p[c-1:].  The rows are
+    q-free, so the sum is kept as integers per (key, v exponent).
+    """
+    acc = {}
+    for kappa, e in orbit(tau, m, n):
+        p = omega_star(kappa, n)
+        prefix = p[: c - 1]
+        it = iter(_letter_row(p[c - 1 :], barred))
+        for u, f, k in zip(it, it, it):
+            t = acc.setdefault(prefix + u, {})
+            t[e + f] = t.get(e + f, 0) + k
+    terms = {}
+    for nu, t in acc.items():
+        c_nu = CoeffPoly.v_laurent(t)
+        if c_nu:
+            terms[nu] = c_nu
+    top = max(m, c)
+    i, reps = ModuleElement.zero(n)._raw(terms).msym_read(top)
+    if i is not None:
+        raise ConsistencyError(
+            "%s_%d of M^{%r|%d} at rank %d fails the block check at H_%d; not %d-symmetric"
+            % ("Phibar" if barred else "Phi", c, tau, m, n, i, top)
+        )
+    return reps
+
+
+def _letters(x, c, letters):
+    """sum over the letters (barred, k, a, b) of k v^a q^b Phi_c (or Phibar_c) of x."""
+    n = x.rank
+    acc = {}
+    for tau, p in x.coeffs.items():
+        for barred, k, a, b in letters:
+            for sigma, r in _orbit_row(tau, x.m, c, n, barred).items():
+                t = acc.get(sigma)
+                if t is None:
+                    t = acc[sigma] = {}
+                add_product(t, p, r, k, a, b)
+    coeffs = {}
+    for sigma, t in acc.items():
+        p = finish(t)
+        if p:
+            coeffs[sigma] = p
+    return OrbitElement(n, max(x.m, c), coeffs)
+
+
+def _check_rank(lam, n):
+    if n < 2 or n < len(lam):
+        raise ValueError("rank %d too small for %r" % (n, lam))
+
+
+@memoized
+def _e_orbit(lam, n):
+    """E~_lambda at rank n, one letter pair on E~ of lambda* down the star chain."""
     if not lam:
-        return ModuleElement.basis((), n)
+        return OrbitElement(n, 0, {(): ONE})
     star, m, a = lambda_star(lam)
-    return _e_element(star, n).letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, lam[m - 1]))
+    return _letters(_e_orbit(star, n), m, _PHI + ((True, -1, 2 * a, lam[m - 1]),))
+
+
+def e_orbit(lam, n):
+    """E~_lambda at rank n in orbit form, l(lambda)-symmetric."""
+    lam = canonicalize(lam)
+    _check_rank(lam, n)
+    return _e_orbit(lam, n)
 
 
 def e_tilde(lam, n):
     """E~_lambda at rank n, with its leading coefficient."""
     lam = canonicalize(lam)
-    if n < 2 or n < len(lam):
-        raise ValueError("rank %d too small for %r" % (n, lam))
-    el = _e_element(lam, n)
-    return MacdonaldResult(lam, n, el, el.coefficient(lam))
+    el = e_orbit(lam, n)
+    # lambda's tail past l(lambda) is zero, so lambda is its own representative
+    return MacdonaldResult(lam, n, el, el.coeffs.get(lam, ZERO))
 
 
 def e_box_product(lam):
@@ -81,25 +196,33 @@ def e_monomial(lam, n):
     return f
 
 
-def marked_e(d, n):
-    """Partial Macdonald polynomial of a marked diagram.
+def marked_orbit(d, n):
+    """Partial Macdonald polynomial of a marked diagram, in orbit form.
 
     Applies Phi_{c} per unmarked box and -Phibar_{c} per marked box, in box
     enumeration order (first box first).
     """
     shape = canonicalize(d.shape)
-    if n < 2 or n < len(shape):
-        raise ValueError("rank %d too small for %r" % (n, shape))
-    return _marked_e(shape, d.marked, n)
+    _check_rank(shape, n)
+    order, cols = box_enumeration(shape)
+    return _word_e(tuple((c, s in d.marked) for s, c in zip(order, cols)), n)
+
+
+def marked_e(d, n):
+    """The partial Macdonald polynomial of marked_orbit in the standard basis."""
+    return marked_orbit(d, n).element
 
 
 @memoized
-def _marked_e(shape, marked, n):
-    order, cols = box_enumeration(shape)
-    x = ModuleElement.basis((), n)
-    for s, c in zip(order, cols):
-        x = x.letters(c, ZERO, MINUS_ONE) if s in marked else x.letters(c, ONE, ZERO)
-    return x
+def _word_e(word, n):
+    """The letters of a word of (column, marked) pairs on M^0, first pair first.
+
+    Keyed by the word, so markings that share a prefix share its element.
+    """
+    if not word:
+        return OrbitElement(n, 0, {(): ONE})
+    c, marked = word[-1]
+    return _letters(_word_e(word[:-1], n), c, _MINUS_PHIBAR if marked else _PHI)
 
 
 def marked_sum_check(lam, n, bound=8):

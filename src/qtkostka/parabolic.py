@@ -15,7 +15,9 @@ The operator words Phi_m = H_m...H_{n-1} omega, Phibar_m with inverse factors,
 and Z_i = H_i^{-1}...H_{n-1}^{-1} omega H_1...H_{i-1} are always applied
 right to left (rightmost factor first).  The letters Phi_m and Phibar_m are
 applied in one pass over memoized q-free rows, the images of basis elements
-(ModuleElement.letters); the rows are built by the one generator loop.
+(ModuleElement.letters); the rows are built by the one generator loop, and
+macdonald.py builds its orbit rows from them.  An m-symmetric element can be
+carried by its coefficients over the orbit basis M^{tau|m} (OrbitElement).
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
@@ -27,12 +29,16 @@ Every memo here comes from memo.py, which also clears them.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 from .coeffs import CoeffPoly, ONE, ZERO, add_product, finish
 from .compositions import (
     canonicalize,
     format_composition,
     lambda_star,
     omega_star,
+    orbit,
     pad,
     swap,
 )
@@ -149,7 +155,11 @@ class ModuleElement(SparseVector):
                 case, swapped = hit
                 if case == 1:
                     rep = False
-                    broken = terms.get(swapped) != c.shift(v_exp=-1)
+                    # c_{s_i kappa} == v^-1 c_kappa, compared without a new CoeffPoly
+                    other = terms.get(swapped)
+                    broken = other is None or other.terms != {
+                        (a - 1, b): x for (a, b), x in c.terms.items()
+                    }
                 else:
                     broken = case and swapped not in terms
                 if broken and (first is None or i < first):
@@ -227,6 +237,42 @@ class ModuleElement(SparseVector):
         for j in range(n - 1, i - 1, -1):
             x = x.hi_inv(j)
         return x
+
+
+@dataclass(frozen=True)
+class OrbitElement:
+    """An m-symmetric element at rank n in the orbit basis M^{tau|m}.
+
+    coeffs maps each representative tau (padded tail p[m:] weakly
+    decreasing) with p_tau != 0 to p_tau; the element is sum_tau p_tau
+    M^{tau|m}.  The KL element and every E~ and marked E~ are carried this
+    way.  The coefficient at a key kappa of tau's orbit is
+    v^{inv(kappa) - inv(tau)} p_tau (compositions.orbit).
+    """
+
+    rank: int
+    m: int
+    coeffs: dict
+
+    def expansion(self, m):
+        """The coefficients at the representatives for m >= self.m."""
+        if not self.m <= m <= self.rank:
+            raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
+        out = {}
+        for tau, p in self.coeffs.items():
+            # keys with one offset share one coefficient object
+            shifted = {}
+            for key, e in orbit(tau, self.m, self.rank, m - self.m):
+                c = shifted.get(e)
+                if c is None:
+                    c = shifted[e] = p.shift(v_exp=e)
+                out[key] = c
+        return out
+
+    @functools.cached_property
+    def element(self):
+        """The element in the standard basis, every key its own representative."""
+        return ModuleElement.zero(self.rank)._raw(self.expansion(self.rank))
 
 
 def _finish_all(acc):

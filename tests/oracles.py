@@ -12,14 +12,15 @@ The rest are the library's former routes, kept as differential references:
 the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
 straight from its operator word, the Phi/Phibar letters as a chain of
 generator passes over the whole element, with E~ and the marked E~ built
-from them, and distinct permutations by brute force.
+from them, the E~ and marked E~ recursions over every key of the rank-n
+support (ModuleElement.letters), and distinct permutations by brute force.
 """
 
 import itertools
 from functools import lru_cache
 
 from qtkostka.bruhat import min_rep_length
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, ZERO, add_product, finish
 from qtkostka.compositions import box_enumeration, lambda_star
 from qtkostka.kl import skew_positive_part
 from qtkostka.parabolic import ModuleElement, d_basis
@@ -291,6 +292,23 @@ def marked_e_chain(d, n):
     x = ModuleElement.basis((), n)
     for s, c in zip(order, cols):
         x = letter_chain(x, c, True).scale(MINUS_ONE) if s in d.marked else letter_chain(x, c, False)
+    return x
+
+
+def e_tilde_full(lam, n):
+    """E~_lambda at rank n over the whole support, one letters call per star step."""
+    if not lam:
+        return ModuleElement.basis((), n)
+    star, m, a = lambda_star(lam)
+    return e_tilde_full(star, n).letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, lam[m - 1]))
+
+
+def marked_e_full(d, n):
+    """The marked E~ of d at rank n over the whole support, one letters call per box."""
+    order, cols = box_enumeration(d.shape)
+    x = ModuleElement.basis((), n)
+    for s, c in zip(order, cols):
+        x = x.letters(c, ZERO, MINUS_ONE) if s in d.marked else x.letters(c, ONE, ZERO)
     return x
 
 

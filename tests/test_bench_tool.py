@@ -23,7 +23,8 @@ def test_ab_summary_counts_wins_by_direction_and_ties_for_neither():
     out = bench.ab_summary(pairs, metrics)
     assert out["wall_s"] == {"parent_quartiles": [1.0, 1.0, 1.5],
                              "change_quartiles": [1.0, 1.2, 1.6],
-                             "median_ratio": 1.0, "wins": 1, "pairs": 3}
+                             "median_ratio": 1.0, "wins": 1, "pairs": 3,
+                             "verdict": "unresolved"}
     assert out["hits"]["wins"] == 1 and out["hits"]["median_ratio"] == 1.0
 
 
@@ -53,3 +54,34 @@ def test_ab_runs_every_workload_in_each_pair_and_alternates_the_sides(monkeypatc
             ["parent", "change"], ["change", "parent"]]
         summary = record["summary"][workload]["wall_s"]
         assert summary["wins"] == 2 and summary["median_ratio"] == 0.9
+
+
+def _pairs(parent, change):
+    return [_pair({"x": a}, {"x": c}) for a, c in zip(parent, change)]
+
+
+def test_ab_summary_verdicts():
+    lower = [{"name": "x", "better": "lower", "bound": 0.25}]
+    higher = [{"name": "x", "better": "higher", "bound": 0.25}]
+    parent = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+
+    def verdict(change, metrics=lower, base=parent):
+        return bench.ab_summary(_pairs(base, change), metrics)["x"]["verdict"]
+
+    # 10/10 won, medians 0.3 apart against a parent IQR of 0.05
+    assert verdict([0.7] * 10) == "gain"
+    # 9/10 won is enough; 8/10 is not
+    assert verdict([0.7] * 9 + [1.2]) == "gain"
+    assert verdict([0.7] * 8 + [1.2] * 2) == "unresolved"
+    # fewer than ten pairs never make a gain
+    assert bench.ab_summary(_pairs(parent[:5], [0.7] * 5), lower)["x"]["verdict"] == "unresolved"
+    # every pair won, but by less than the parent's own spread
+    assert verdict([x - 0.01 for x in parent]) == "unresolved"
+    # worse beyond the bound, and within it
+    assert verdict([1.3] * 10) == "worse"
+    assert verdict([1.2] * 10) == "unresolved"
+    # the direction follows the metric
+    assert verdict([1.3] * 10, higher) == "gain"
+    assert verdict([0.7] * 10, higher) == "worse"
+    # no bound: never worse
+    assert verdict([2.0] * 10, [{"name": "x", "better": "lower"}]) == "unresolved"

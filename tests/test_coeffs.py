@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtkostka.coeffs import (
+    _PAIRS,
     CoeffPoly,
     NonExactDivision,
     ONE,
@@ -187,3 +188,14 @@ def test_add_product_is_the_fold_of_sum_and_product(items):
         add_product(terms, p, r, k, a, b)
         add_product(terms, r, p, -k, a, b)
     assert finish(terms) == ZERO and finish(terms).terms == {}
+
+
+@given(polys, st.integers(-3, 3), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_shift_takes_its_exponent_pairs_from_the_shared_table(p, a, b):
+    got = p.shift(a, b)
+    assert got == p * CoeffPoly.monomial(1, a, b)
+    if a or b:
+        assert all(_PAIRS[e] is e for e in got.terms)
+    else:
+        assert got is p

@@ -95,9 +95,16 @@ def test_arm_leg_column():
 def test_boxes_and_enumeration():
     assert boxes((2, 1)) == [(1, 1), (1, 2), (2, 1)]
     order, cols = box_enumeration((2, 1))
-    assert order == [(1, 2), (1, 1), (2, 1)]  # rightmost column first
+    assert order == ((1, 2), (1, 1), (2, 1))  # rightmost column first
     assert cols == (1, 2, 2)
-    assert box_enumeration(()) == ([], ())
+    assert box_enumeration(()) == ((), ())
+    # memoized: both parts are tuples, so no caller can change the memo
+    assert box_enumeration((2, 1)) is box_enumeration((2, 1))
+
+
+def test_marking_stats_is_memoized():
+    d = MarkedDiagram((2, 2, 1), frozenset({(1, 1), (3, 1)}))
+    assert marking_stats(d) is marking_stats(MarkedDiagram((2, 2, 1), frozenset({(3, 1), (1, 1)})))
 
 
 def test_c_word_star_recursion():
@@ -174,6 +181,22 @@ def test_orbit_keys():
     assert sorted(orbit((2, 1), 1, 4)) == [((2, 0, 0, 1), 2), ((2, 0, 1), 1), ((2, 1), 0)]
     # its representatives for m=2 only
     assert sorted(orbit((2, 1), 1, 4, 1)) == [((2, 0, 1), 1), ((2, 1), 0)]
+
+
+@given(comps, st.integers(0, 5), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_orbit_shift_is_the_sorting_data_difference(raw, m, extra):
+    # the ascending pairs of the tail against inv(kappa) - inv(tau)
+    p = canonicalize(raw)
+    n = max(len(p), m) + extra
+    m = min(m, n)
+    head = p[:m] + (0,) * (m - len(p[:m]))
+    tau = canonicalize(head + tuple(sorted(pad(p, n)[m:], reverse=True)))
+    base = sorting_data(tau, n).inversions
+    for k in range(n - m + 1):
+        for key, shift in orbit(tau, m, n, k):
+            assert shift == sorting_data(key, n).inversions - base, (tau, m, n, key)
+            assert key == canonicalize(key)
 
 
 def test_compositions_of():

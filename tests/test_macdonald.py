@@ -2,21 +2,25 @@
 
 import pytest
 
-from oracles import e_tilde_chain, marked_e_chain
-from qtkostka import clear_caches
+from oracles import e_tilde_chain, e_tilde_full, marked_e_chain, marked_e_full
+from qtkostka import clear_caches, kl_element, kostka, kostka_via_schur, marked_kostka
+from qtkostka import macdonald, parabolic
 from qtkostka.coeffs import _PAIRS, CoeffPoly, ConsistencyError, ONE, V
 from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of
+from qtkostka.kostka import msym_expand, psi_e_polynomial
 from qtkostka.macdonald import (
     duality_check,
     e_box_product,
     e_monomial,
+    e_orbit,
     e_tilde,
     intertwiner_check,
     marked_e,
+    marked_orbit,
     marked_sum_check,
     symmetric_j,
 )
-from qtkostka.parabolic import ModuleElement, bar_d
+from qtkostka.parabolic import ModuleElement, OrbitElement, bar_d
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -57,8 +61,118 @@ def test_coefficients_of_one_e_tilde_share_their_exponent_pairs():
             else:
                 first[e] = e
     assert repeats > 0 and len(first) <= len(_PAIRS)
+    # a coefficient shifted off a representative takes its pairs from the table
+    forms = [e_orbit((2, 0, 1), 5), kl_element((1, 2), 5)]
+    forms += [marked_orbit(d, 5) for d in all_markings((1, 2))]
+    shifted = 0
+    for x in forms:
+        for m in range(x.m, x.rank + 1):
+            for key, c in x.expansion(m).items():
+                if key not in x.coeffs:
+                    assert all(_PAIRS[e] is e for e in c.terms), (x, m, key)
+                    shifted += 1
+    assert shifted > 100
     clear_caches()
     assert not _PAIRS
+
+
+def _sweep(max_weight, extra):
+    """(label, orbit form, full-basis oracle, length of the shape) for E~ and
+    every marked E~ of weight <= max_weight and length <= 3 at rank
+    max(len + extra, 2); the form and the oracle are built when called."""
+    for d in range(max_weight + 1):
+        for lam in compositions_of(d, 3):
+            n = max(len(lam) + extra, 2)
+            yield lam, (lambda lam=lam, n=n: e_orbit(lam, n)), (
+                lambda lam=lam, n=n: e_tilde_full(lam, n)), len(lam)
+            for dg in all_markings(lam):
+                yield dg, (lambda dg=dg, n=n: marked_orbit(dg, n)), (
+                    lambda dg=dg, n=n: marked_e_full(dg, n)), len(lam)
+
+
+def test_orbit_forms_match_the_full_basis_oracle():
+    # expanded at every m from the symmetry index up, at two ranks
+    count = 0
+    for extra in (1, 3):
+        for label, orbit_form, oracle, length in _sweep(4, extra):
+            x, full = orbit_form(), oracle()
+            assert x.m <= length, label
+            assert x.element == full, label
+            for m in range(x.m, x.rank + 1):
+                assert x.expansion(m) == msym_expand(full, m).terms, (label, m)
+                count += 1
+    assert count > 1000
+    # the public results are the expanded orbit forms
+    assert e_orbit((2, 0, 1), 5).m == 3
+    assert e_tilde((2, 0, 1), 5).element is e_orbit((2, 0, 1), 5).element
+    d = MarkedDiagram((2, 1), frozenset({(1, 2)}))
+    assert marked_e(d, 4) is marked_orbit(d, 4).element
+
+
+def test_a_corrupted_letter_row_fails_the_orbit_row_check(monkeypatch):
+    """Each single-entry corruption of a letter row that the block check on
+    the full elements catches is caught by the orbit-row check, and more."""
+    real = parabolic._letter_row
+    read = set()
+
+    def use(row_of):
+        monkeypatch.setattr(parabolic, "_letter_row", row_of)
+        monkeypatch.setattr(macdonald, "_letter_row", row_of)
+
+    def build(route):
+        # the orbit forms, or the full elements under the pairing's block check
+        for _, orbit_form, oracle, length in _sweep(3, 2):
+            if route == "full":
+                msym_expand(oracle(), length)
+            else:
+                orbit_form()
+
+    def seen(word, barred):
+        read.add((word, barred))
+        return real(word, barred)
+
+    clear_caches()
+    use(seen)
+    build("orbit")
+    build("full")
+    entries = [(w, b, j) for w, b in sorted(read) for j in range(2, len(real(w, b)), 3)]
+    caught = {"orbit": set(), "full": set()}
+    for w, b, j in entries:
+        def corrupt(word, barred, w=w, b=b, j=j):
+            row = real(word, barred)
+            if (word, barred) == (w, b):
+                row = row[:j] + (row[j] + 1,) + row[j + 1 :]
+            return row
+
+        for route in caught:
+            clear_caches()
+            use(corrupt)
+            try:
+                build(route)
+            except ConsistencyError as exc:
+                if route == "orbit":
+                    assert "fails the block check" in str(exc), exc
+                caught[route].add((w, b, j))
+    use(real)
+    clear_caches()
+    assert len(entries) > 100
+    assert caught["full"] <= caught["orbit"]
+    assert len(caught["orbit"]) > len(caught["full"]) > 0
+
+
+def test_a_cold_kostka_builds_no_full_element(monkeypatch):
+    def refuse(self):
+        raise AssertionError("full element of %r built" % (self,))
+
+    clear_caches()
+    monkeypatch.setattr(OrbitElement, "element", property(refuse))
+    assert kostka((3, 1), (2, 2)).value
+    for d in all_markings((2, 1, 1)):
+        marked_kostka((3, 1), d)
+    assert kostka_via_schur((2, 1), (1, 2))
+    assert psi_e_polynomial((1, 2))
+    monkeypatch.undo()
+    clear_caches()
 
 
 def test_e_tilde_trivial_cases():

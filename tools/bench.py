@@ -19,7 +19,8 @@ one seed (pair k uses seed k), and the side that runs first alternates, so a
 drift of the machine over minutes falls on both sides alike.  The one A/B
 record under "ab" in BENCH_<N>.json is rewritten after every pair: per
 workload, each pair's end-to-end medians per side, and per metric the median
-of the K ratios change/parent with the number of pairs the change won.
+of the K ratios change/parent with the number of pairs the change won and a
+verdict: gain, worse or unresolved (see verdict).
 """
 
 from __future__ import annotations
@@ -85,9 +86,27 @@ def quartiles(xs):
     return [q1, q2, q3]
 
 
+def verdict(parent_q, change_q, wins, pairs, lower, bound):
+    """gain, worse or unresolved for one metric of an A/B comparison.
+
+    gain: at least ten pairs ran, the change won at least 9/10 of them, and
+    its median is better than the parent's by more than the parent's
+    interquartile range.
+    worse: the change's median is worse than the parent's by more than the
+    bound of BENCHMARK.json, as a fraction of the parent's median.
+    unresolved: anything else.
+    """
+    better = parent_q[1] - change_q[1] if lower else change_q[1] - parent_q[1]
+    if pairs >= 10 and 10 * wins >= 9 * pairs and better > parent_q[2] - parent_q[0]:
+        return "gain"
+    if bound is not None and -better > bound * parent_q[1]:
+        return "worse"
+    return "unresolved"
+
+
 def ab_summary(pairs, metrics):
-    """Per metric: each side's quartiles, the median ratio change/parent and
-    the pairs the change won (a tie wins for neither side)."""
+    """Per metric: each side's quartiles, the median ratio change/parent,
+    the pairs the change won (a tie wins for neither side) and the verdict."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -96,12 +115,16 @@ def ab_summary(pairs, metrics):
         if not both:
             continue
         ratios = [c / a for a, c in both]
+        parent_q = quartiles([a for a, _ in both])
+        change_q = quartiles([c for _, c in both])
+        wins = sum(1 for r in ratios if (r < 1 if lower else r > 1))
         out[name] = {
-            "parent_quartiles": quartiles([a for a, _ in both]),
-            "change_quartiles": quartiles([c for _, c in both]),
+            "parent_quartiles": parent_q,
+            "change_quartiles": change_q,
             "median_ratio": round(statistics.median(ratios), 4),
-            "wins": sum(1 for r in ratios if (r < 1 if lower else r > 1)),
+            "wins": wins,
             "pairs": len(ratios),
+            "verdict": verdict(parent_q, change_q, wins, len(ratios), lower, m.get("bound")),
         }
     return out
 
@@ -164,7 +187,8 @@ def main(argv=None):
             save()
             for workload, summary in record["summary"].items():
                 print("pair %d/%d %s: %s" % (k, args.pairs, workload, " ".join(
-                    "%s %.3f (%d/%d)" % (name, s["median_ratio"], s["wins"], s["pairs"])
+                    "%s %.3f (%d/%d, %s)" % (name, s["median_ratio"], s["wins"], s["pairs"],
+                                             s["verdict"])
                     for name, s in summary.items())), flush=True)
         bad = sorted({side for runs in record["pairs"].values() for p in runs
                       for side in ("parent", "change")

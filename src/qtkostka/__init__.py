@@ -54,7 +54,6 @@ from .macdonald import (
 from .kl import KLElement, kl_element, skew_positive_part
 from .kostka import (
     KostkaResult,
-    MSymExpansion,
     MSymmetryViolation,
     charge_oracle,
     kostka,

@@ -164,6 +164,8 @@ def scan_cmd(max_weight, max_len, jobs, cache_dir, report_path, csv_path, with_m
     """Scan all equal-weight pairs up to a weight bound for conjecture violations."""
     if max_weight < 0:
         raise click.UsageError("--max-weight must be nonnegative")
+    if max_len is not None and max_len < 0:
+        raise click.UsageError("--max-len must be nonnegative")
     report = run_scan(
         max_weight,
         max_len=max_len,

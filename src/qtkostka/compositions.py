@@ -286,6 +286,8 @@ def _tail_orbit(tail, k):
 
 def compositions_of(d, max_len):
     """All trimmed compositions of weight d with length at most max_len."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative, not %d" % max_len)
     out = []
 
     def rec(prefix, remaining, slots):

@@ -78,7 +78,7 @@ from .parabolic import OrbitElement, d_basis
 class KLElement(OrbitElement):
     """M^_lambda at rank n as its coefficients over the orbit basis M^{tau|m}.
 
-    m = partition_length(lambda); coeffs maps each representative tau with
+    m = partition_length(lambda); terms maps each representative tau with
     p_tau != 0 to p_tau.
     """
 

@@ -51,13 +51,6 @@ class MSymmetryViolation(ConsistencyError):
 
 
 @dataclass(frozen=True)
-class MSymExpansion:
-    m: int
-    rank: int
-    terms: dict  # representative (partition tail) -> CoeffPoly
-
-
-@dataclass(frozen=True)
 class KostkaResult:
     lam: tuple
     mu: tuple
@@ -72,7 +65,10 @@ class KostkaResult:
 
 
 def msym_expand(x, m):
-    """Expand an m-symmetric element over the basis M^{tau|m}.
+    """The OrbitElement at index m of an m-symmetric ModuleElement x.
+
+    Its terms are the coefficients of x at the representatives for m, and
+    its element is x again.
 
     The certificate is H_i x = v^-1 x for every i > m, one two-term block
     at a time, and the coefficient is read off at the representative tau,
@@ -93,7 +89,7 @@ def msym_expand(x, m):
     i, reps = x.msym_read(m)
     if i is not None:
         raise MSymmetryViolation("H_%d does not act by v^-1; not %d-symmetric" % (i, m))
-    return MSymExpansion(m, n, reps)
+    return OrbitElement(n, m, reps)
 
 
 def msym_basis(tau, m, n):
@@ -107,14 +103,15 @@ def msym_basis(tau, m, n):
 
 
 def pair(x, y, quotients=None):
-    """The stable scalar product of two m-symmetric expansions.
+    """The stable scalar product of two OrbitElements at one (m, rank).
 
-    Divides the second argument's coefficients by b(tail); the division
-    must be exact, otherwise the inputs were not genuinely stable-paired
-    objects and NonExactDivision propagates.  quotients, when given, keeps
-    the quotients of y across calls: a memoized y comes with its own dict,
-    so each of its coefficients is divided, and checked exact, once, and
-    later pairings read the quotient back and only multiply.
+    Reads both at their representatives and divides the second argument's
+    coefficients by b(tail); the division must be exact, otherwise the
+    inputs were not genuinely stable-paired objects and NonExactDivision
+    propagates.  quotients, when given, keeps the quotients of y across
+    calls: a memoized y comes with its own dict, so each of its coefficients
+    is divided, and checked exact, once, and later pairings read the
+    quotient back and only multiply.
     """
     if x.m != y.m or x.rank != y.rank:
         raise ValueError("expansions live at different (m, rank)")
@@ -149,22 +146,22 @@ def pair_truncated(x, y):
 
 @memoized
 def _kl_expansion(lam, m, n):
-    return MSymExpansion(m, n, kl_element(lam, n).expansion(m))
+    return kl_element(lam, n).expansion(m)
 
 
 @memoized
 def _e_expansion(mu, m, n):
     """The expansion of E~_mu, with the dict of its quotients for pair.
 
-    Read off the orbit form, certified row by row (proof in macdonald.py),
+    Read off the orbit form, certified row by row (proof in parabolic.py),
     so the full E~ is never built.
     """
-    return MSymExpansion(m, n, e_orbit(mu, n).expansion(m)), {}
+    return e_orbit(mu, n).expansion(m), {}
 
 
 @memoized
 def _marked_expansion(d, m, n):
-    return MSymExpansion(m, n, marked_orbit(d, n).expansion(m)), {}
+    return marked_orbit(d, n).expansion(m), {}
 
 
 def _ranks(lam, mu):
@@ -222,7 +219,7 @@ def _q0_disagreements(kl, values):
     coefficients are read from kl.expansion, so the ModuleElement of kl is
     never built.
     """
-    coeffs = kl.expansion(kl.rank)
+    coeffs = kl.expansion(kl.rank).terms
     for mu, val in values:
         try:
             q0 = val.specialize_q0()
@@ -390,7 +387,7 @@ def psi_e_polynomial(mu):
     representatives decide.
     """
     mu = canonicalize(mu)
-    coeffs = e_orbit(mu, default_rank(mu)).coeffs.values()
+    coeffs = e_orbit(mu, default_rank(mu)).terms.values()
     return all(c.is_v_polynomial() and c.is_q_polynomial() for c in coeffs)
 
 

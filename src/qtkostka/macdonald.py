@@ -10,53 +10,24 @@ and decompose E~ as a q,t-weighted sum over all markings.  The engine also
 provides the duality identity, the intertwiner relation and the symmetric
 polynomial J_mu, all used as cross-checks downstream.
 
-Orbit form.  E~ and every marked E~ are built as parabolic.OrbitElements:
-a symmetry index m and one coefficient p_tau per representative tau of the
-orbit basis M^{tau|m}, the basis the pairing reads.  The full element is
-expanded only when asked for (e_tilde(...).element, marked_e).
-
-Letters keep symmetry.  For c < i <= n-1, s_i s_c ... s_{n-1} = s_c ...
-s_{n-1} s_{i-1}, both sides reduced, so H_i H_c ... H_{n-1} = H_c ...
-H_{n-1} H_{i-1}; with omega H_i = H_{i-1} omega this gives H_i Phi_c =
-Phi_c H_i.  Inverting the reversed identity gives the same with inverse
-generators, and H_i^{-1} differs from H_i by a scalar, so H_i Phibar_c =
-Phibar_c H_i too.  Hence if H_i x = v^-1 x for every i > m', then H_i
-Phi_c(x) = v^-1 Phi_c(x) for every i > max(m', c): a letter maps an
-m'-symmetric element to a max(m', c)-symmetric one.  M^0 is 0-symmetric,
-so E~_lambda ends up l(lambda)-symmetric, and a marked E~ m-symmetric for
-its largest column length, at most l(shape).
-
-Orbit rows.  The image of the orbit sum M^{tau|m'} under Phi_c (or
-Phibar_c) is built once per (tau, m', c, n, barred) from the q-free word
-rows of parabolic._letter_row, over every key of tau's orbit (_orbit_row).
-A letter on an orbit form is then sum_tau p_tau image_tau, one
-coeffs.add_product per entry (tau, sigma) of the rows (_letters).
-
-Certificate.  Each orbit row is certified in full before its representative
-entries are kept: msym_read(max(m', c)) must find H_i = v^-1 on every
-two-term block for i > max(m', c), else ConsistencyError.  That is the
-block check msym_expand runs on a full element, and it implies (proof at
-kostka.msym_expand) that the image equals sum_sigma image_tau[sigma]
-M^{sigma|m}, m = max(m', c), read at its representatives.  By induction
-along the letter word, an orbit form with index m' and coefficients p_tau
-is exactly the element sum_tau p_tau M^{tau|m'}: true for M^0, and the
-letters are linear over Z[v^±1, q^±1], so
-
-    L(sum_tau p_tau M^{tau|m'}) = sum_sigma (sum_tau p_tau image_tau[sigma])
-                                  M^{sigma|m},
-
-which is the orbit form _letters returns.  Each M^{sigma|m} passes the
-block check (a test pins this for msym_basis), and the check is linear, so
-the final E~ passes the check msym_expand runs on it, and its
-representatives for any m'' >= m are OrbitElement.expansion(m'').  The
-pairing therefore reads expansion(m) and never builds a full E~.
+Orbit form.  E~ and every marked E~ are built as parabolic.OrbitElements,
+one OrbitElement.letters call per letter: a symmetry index m and one
+coefficient p_tau per representative tau of the orbit basis M^{tau|m}, the
+basis the pairing reads.  A letter Phi_c maps an m'-symmetric element to a
+max(m', c)-symmetric one and each orbit row it reads is certified (proofs
+in parabolic.py).  M^0 is 0-symmetric, so E~_lambda ends up
+l(lambda)-symmetric, and a marked E~ m-symmetric for its largest column
+length, at most l(shape).  The final E~ passes the block check msym_expand
+runs on it, so the pairing reads expansion(m) and never builds a full E~;
+the full element is expanded only when asked for (e_tilde(...).element,
+marked_e).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO, add_product, finish
+from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO
 from .compositions import (
     all_markings,
     arm,
@@ -66,15 +37,13 @@ from .compositions import (
     lambda_star,
     leg,
     marking_stats,
-    omega_star,
-    orbit,
     pad,
     sorting_data,
     swap,
     weight,
 )
 from .memo import memoized
-from .parabolic import ModuleElement, OrbitElement, _letter_row, bar_d
+from .parabolic import ModuleElement, OrbitElement, bar_d
 from .polyrep import from_module
 
 # the letters (barred, k, a, b), each k v^a q^b times Phi_c or Phibar_c
@@ -95,58 +64,6 @@ class MacdonaldResult:
         return self.orbit.element
 
 
-@memoized
-def _orbit_row(tau, m, c, n, barred):
-    """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
-
-    Returns its coefficients at the representatives for max(m, c).  The
-    image is sum_kappa v^e Phi_c(M^kappa) over the keys kappa of the orbit
-    with offsets e; Phi_c(M^kappa) is the prefix p[:c-1] of p =
-    omega*(kappa) followed by the row of the word p[c-1:].  The rows are
-    q-free, so the sum is kept as integers per (key, v exponent).
-    """
-    acc = {}
-    for kappa, e in orbit(tau, m, n):
-        p = omega_star(kappa, n)
-        prefix = p[: c - 1]
-        it = iter(_letter_row(p[c - 1 :], barred))
-        for u, f, k in zip(it, it, it):
-            t = acc.setdefault(prefix + u, {})
-            t[e + f] = t.get(e + f, 0) + k
-    terms = {}
-    for nu, t in acc.items():
-        c_nu = CoeffPoly.v_laurent(t)
-        if c_nu:
-            terms[nu] = c_nu
-    top = max(m, c)
-    i, reps = ModuleElement.zero(n)._raw(terms).msym_read(top)
-    if i is not None:
-        raise ConsistencyError(
-            "%s_%d of M^{%r|%d} at rank %d fails the block check at H_%d; not %d-symmetric"
-            % ("Phibar" if barred else "Phi", c, tau, m, n, i, top)
-        )
-    return reps
-
-
-def _letters(x, c, letters):
-    """sum over the letters (barred, k, a, b) of k v^a q^b Phi_c (or Phibar_c) of x."""
-    n = x.rank
-    acc = {}
-    for tau, p in x.coeffs.items():
-        for barred, k, a, b in letters:
-            for sigma, r in _orbit_row(tau, x.m, c, n, barred).items():
-                t = acc.get(sigma)
-                if t is None:
-                    t = acc[sigma] = {}
-                add_product(t, p, r, k, a, b)
-    coeffs = {}
-    for sigma, t in acc.items():
-        p = finish(t)
-        if p:
-            coeffs[sigma] = p
-    return OrbitElement(n, max(x.m, c), coeffs)
-
-
 def _check_rank(lam, n):
     if n < 2 or n < len(lam):
         raise ValueError("rank %d too small for %r" % (n, lam))
@@ -158,7 +75,7 @@ def _e_orbit(lam, n):
     if not lam:
         return OrbitElement(n, 0, {(): ONE})
     star, m, a = lambda_star(lam)
-    return _letters(_e_orbit(star, n), m, _PHI + ((True, -1, 2 * a, lam[m - 1]),))
+    return _e_orbit(star, n).letters(m, _PHI + ((True, -1, 2 * a, lam[m - 1]),))
 
 
 def e_orbit(lam, n):
@@ -173,7 +90,7 @@ def e_tilde(lam, n):
     lam = canonicalize(lam)
     el = e_orbit(lam, n)
     # lambda's tail past l(lambda) is zero, so lambda is its own representative
-    return MacdonaldResult(lam, n, el, el.coeffs.get(lam, ZERO))
+    return MacdonaldResult(lam, n, el, el.terms.get(lam, ZERO))
 
 
 def e_box_product(lam):
@@ -222,7 +139,7 @@ def _word_e(word, n):
     if not word:
         return OrbitElement(n, 0, {(): ONE})
     c, marked = word[-1]
-    return _letters(_word_e(word[:-1], n), c, _MINUS_PHIBAR if marked else _PHI)
+    return _word_e(word[:-1], n).letters(c, _MINUS_PHIBAR if marked else _PHI)
 
 
 def marked_sum_check(lam, n, bound=8):

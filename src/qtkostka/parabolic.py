@@ -13,17 +13,55 @@ inverse generator is H_i + (v - v^{-1}) by the quadratic relation.
 
 The operator words Phi_m = H_m...H_{n-1} omega, Phibar_m with inverse factors,
 and Z_i = H_i^{-1}...H_{n-1}^{-1} omega H_1...H_{i-1} are always applied
-right to left (rightmost factor first).  The letters Phi_m and Phibar_m are
-applied in one pass over memoized q-free rows, the images of basis elements
-(ModuleElement.letters); the rows are built by the one generator loop, and
-macdonald.py builds its orbit rows from them.  An m-symmetric element can be
-carried by its coefficients over the orbit basis M^{tau|m} (OrbitElement).
+right to left (rightmost factor first).
+
+Orbit form.  An m-symmetric element (H_i x = v^-1 x for every i > m) is
+carried by one coefficient p_tau per representative tau of the orbit basis
+M^{tau|m} (OrbitElement).  At m = n there is no i > m, every key is its own
+representative and M^{tau|n} = M^tau: the full basis is the orbit basis at
+m = n, and any element is the OrbitElement at n over its own terms.
+
+Letters keep symmetry.  For c < i <= n-1, s_i s_c ... s_{n-1} = s_c ...
+s_{n-1} s_{i-1}, both sides reduced, so H_i H_c ... H_{n-1} = H_c ...
+H_{n-1} H_{i-1}; with omega H_i = H_{i-1} omega this gives H_i Phi_c =
+Phi_c H_i.  Inverting the reversed identity gives the same with inverse
+generators, and H_i^{-1} differs from H_i by a scalar, so H_i Phibar_c =
+Phibar_c H_i too.  Hence if H_i x = v^-1 x for every i > m', then H_i
+Phi_c(x) = v^-1 Phi_c(x) for every i > max(m', c): a letter maps an
+m'-symmetric element to a max(m', c)-symmetric one.
+
+One letter.  Phi_c and Phibar_c are applied only by OrbitElement.letters.
+The image of the orbit sum M^{tau|m'} under Phi_c (or Phibar_c) is built
+once per (tau, m', c, n, barred) from the memoized q-free word rows of
+_letter_row, over every key of tau's orbit (_orbit_image); the word rows
+are built by the one generator loop.  A letter on an orbit form is then
+sum_tau p_tau image_tau, one coeffs.add_product per entry (tau, sigma) of
+the rows.
+
+Certificate.  Each orbit row is certified in full before its representative
+entries are kept: msym_read(max(m', c)) must find H_i = v^-1 on every
+two-term block for i > max(m', c), else ConsistencyError.  That is the
+block check msym_expand runs on a full element, and it implies (proof at
+kostka.msym_expand) that the image equals sum_sigma image_tau[sigma]
+M^{sigma|m}, m = max(m', c), read at its representatives.  By induction
+along a word of letters, an orbit form with index m' and coefficients p_tau
+is exactly the element sum_tau p_tau M^{tau|m'}: true for M^0, and the
+letters are linear over Z[v^±1, q^±1], so
+
+    L(sum_tau p_tau M^{tau|m'}) = sum_sigma (sum_tau p_tau image_tau[sigma])
+                                  M^{sigma|m},
+
+which is the orbit form letters returns.  Each M^{sigma|m} passes the block
+check (a test pins this for msym_basis), and the check is linear, so the
+result passes the check msym_expand runs on it, and its representatives
+for any m'' >= m are OrbitElement.expansion(m'').  At m' = n the check has
+no index to test and each image row is the letter on one basis element.
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
 over the column word of lambda.  Its rows are built once per (rank, lambda)
-as ModuleElements by d_basis, with the module's own operators: one Phibar
-letter for a weakly increasing key, one inverse generator for every other.
+as ModuleElements by d_basis: one Phibar letter at m = n for a weakly
+increasing key, one inverse generator for every other.
 Every memo here comes from memo.py, which also clears them.
 """
 
@@ -32,7 +70,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ONE, ZERO, add_product, finish
+from .coeffs import CoeffPoly, ConsistencyError, ONE, add_product, finish
 from .compositions import (
     canonicalize,
     format_composition,
@@ -49,9 +87,8 @@ from .sparse import SparseVector
 # (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
 _SWAP_MEMO = table()
 _OMEGA_MEMO = table()
-# one shared tuple per key that letters assembles, so the terms of memoized
-# elements do not each hold a copy
-_KEY_MEMO = table()
+# the one letter Phibar of the involution rows, as OrbitElement.letters takes it
+_PHIBAR = ((True, 1, 0, 0),)
 
 
 def _swap_entry(lam, i):
@@ -181,50 +218,6 @@ class ModuleElement(SparseVector):
             acc[img] = c
         return self._raw(acc)
 
-    def phi_op(self, m):
-        """Phi_m = H_m ... H_{n-1} omega, omega applied first."""
-        return self.letters(m, ONE, ZERO)
-
-    def phibar_op(self, m):
-        """Phibar_m = H_m^{-1} ... H_{n-1}^{-1} omega, omega applied first."""
-        return self.letters(m, ZERO, ONE)
-
-    def letters(self, m, a, b):
-        """a Phi_m(x) + b Phibar_m(x) for scalars a, b, in one accumulation.
-
-        Both letters are linear and leave q alone, so Phi_m(x) = sum_kappa
-        x_kappa Phi_m(M^kappa): each coefficient times the scalar is added in
-        place (coeffs.add_product) at every term of the memoized q-free row
-        of its key.  With p = omega*(kappa), whose
-        last entry is positive, Phi_m(M^kappa) = H_m ... H_{n-1} M^p, and
-        these generators only touch positions m..n: the row is the prefix
-        p[:m-1] followed by the row of the word p[m-1:] (_letter_row).
-        """
-        n = self.rank
-        if not 1 <= m <= n:
-            raise ValueError("m out of range")
-        omega = _OMEGA_MEMO
-        shared = _KEY_MEMO
-        acc = {}
-        for barred, f in ((False, a), (True, b)):
-            if not f:
-                continue
-            for lam, c in self.terms.items():
-                key = (lam, n)
-                p = omega.get(key)
-                if p is None:
-                    p = omega[key] = omega_star(lam, n)
-                prefix = p[: m - 1]
-                it = iter(_letter_row(p[m - 1 :], barred))
-                for u, e, k in zip(it, it, it):
-                    nu = prefix + u
-                    t = acc.get(nu)
-                    if t is None:
-                        nu = shared.setdefault(nu, nu)
-                        t = acc[nu] = {}
-                    add_product(t, c, f, k, e)
-        return self._raw(_finish_all(acc))
-
     def z_op(self, i):
         """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
         n = self.rank
@@ -243,23 +236,25 @@ class ModuleElement(SparseVector):
 class OrbitElement:
     """An m-symmetric element at rank n in the orbit basis M^{tau|m}.
 
-    coeffs maps each representative tau (padded tail p[m:] weakly
+    terms maps each representative tau (padded tail p[m:] weakly
     decreasing) with p_tau != 0 to p_tau; the element is sum_tau p_tau
-    M^{tau|m}.  The KL element and every E~ and marked E~ are carried this
-    way.  The coefficient at a key kappa of tau's orbit is
-    v^{inv(kappa) - inv(tau)} p_tau (compositions.orbit).
+    M^{tau|m}.  The KL element, every E~ and marked E~, and every
+    m-symmetric expansion the pairing reads are carried this way.  The
+    coefficient at a key kappa of tau's orbit is v^{inv(kappa) - inv(tau)}
+    p_tau (compositions.orbit).  At m = n every key is its own
+    representative, and the orbit form is the element itself.
     """
 
     rank: int
     m: int
-    coeffs: dict
+    terms: dict
 
     def expansion(self, m):
-        """The coefficients at the representatives for m >= self.m."""
+        """The same element at the symmetry index m >= self.m."""
         if not self.m <= m <= self.rank:
             raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
         out = {}
-        for tau, p in self.coeffs.items():
+        for tau, p in self.terms.items():
             # keys with one offset share one coefficient object
             shifted = {}
             for key, e in orbit(tau, self.m, self.rank, m - self.m):
@@ -267,12 +262,32 @@ class OrbitElement:
                 if c is None:
                     c = shifted[e] = p.shift(v_exp=e)
                 out[key] = c
-        return out
+        return OrbitElement(self.rank, m, out)
 
     @functools.cached_property
     def element(self):
         """The element in the standard basis, every key its own representative."""
-        return ModuleElement.zero(self.rank)._raw(self.expansion(self.rank))
+        return ModuleElement.zero(self.rank)._raw(self.expansion(self.rank).terms)
+
+    def letters(self, c, letters):
+        """sum over letters (barred, k, a, b) of k v^a q^b Phi_c (Phibar_c if barred).
+
+        The image is max(m, c)-symmetric; it is sum_tau p_tau times the
+        image of M^{tau|m}, one coeffs.add_product per entry (tau, sigma) of
+        the certified orbit rows (_orbit_image).
+        """
+        n = self.rank
+        if not 1 <= c <= n:
+            raise ValueError("letter index %d out of range for rank %d" % (c, n))
+        acc = {}
+        for tau, p in self.terms.items():
+            for barred, k, a, b in letters:
+                for sigma, r in _orbit_image(tau, self.m, c, n, barred).items():
+                    t = acc.get(sigma)
+                    if t is None:
+                        t = acc[sigma] = {}
+                    add_product(t, p, r, k, a, b)
+        return OrbitElement(n, max(self.m, c), _finish_all(acc))
 
 
 def _finish_all(acc):
@@ -286,13 +301,47 @@ def _finish_all(acc):
 
 
 @memoized
+def _orbit_image(tau, m, c, n, barred):
+    """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
+
+    Returns its coefficients at the representatives for max(m, c).  The
+    image is sum_kappa v^e Phi_c(M^kappa) over the keys kappa of the orbit
+    with offsets e; Phi_c(M^kappa) is the prefix p[:c-1] of p =
+    omega*(kappa) followed by the row of the word p[c-1:] (_letter_row),
+    since H_c ... H_{n-1} only touch positions c..n.  The rows are q-free,
+    so the sum is kept as integers per (key, v exponent).
+    """
+    acc = {}
+    for kappa, e in orbit(tau, m, n):
+        p = omega_star(kappa, n)
+        prefix = p[: c - 1]
+        it = iter(_letter_row(p[c - 1 :], barred))
+        for u, f, k in zip(it, it, it):
+            t = acc.setdefault(prefix + u, {})
+            t[e + f] = t.get(e + f, 0) + k
+    terms = {}
+    for nu, t in acc.items():
+        c_nu = CoeffPoly.v_laurent(t)
+        if c_nu:
+            terms[nu] = c_nu
+    top = max(m, c)
+    i, reps = ModuleElement.zero(n)._raw(terms).msym_read(top)
+    if i is not None:
+        raise ConsistencyError(
+            "%s_%d of M^{%r|%d} at rank %d fails the block check at H_%d; not %d-symmetric"
+            % ("Phibar" if barred else "Phi", c, tau, m, n, i, top)
+        )
+    return reps
+
+
+@memoized
 def _letter_row(word, barred):
     """The row of one letter on a word, by Phi_m = H_m Phi_{m+1} read locally.
 
     The row is H_1 ... H_{L-1} M^word over a word of length L with a positive
     last entry (inverse generators if barred), as the flat tuple (u_1, e_1,
     c_1, u_2, ...) of its q-free terms c v^e M^u.  A one-entry word is its
-    own row (Phi_n = omega, which letters has applied).  Otherwise H_2 ...
+    own row (Phi_n = omega, which _orbit_image has applied).  Otherwise H_2 ...
     H_{L-1} leave the first entry alone, so the row is H_1 (or H_1^{-1})
     applied to word[0] followed by the row of word[1:].
     """
@@ -340,8 +389,8 @@ def d_basis(lam, n):
     is H_i^{-1} applied to the row of kappa.  Rows therefore propagate by
     single inverse generators from the weakly increasing arrangement of the
     entries, which is the only key still built from its column word: its row
-    is Phibar_m applied to the row of lambda*, m = l(lambda), one letter over
-    the memoized rows of phibar_op.
+    is Phibar_m applied to the row of lambda*, m = l(lambda), the orbit
+    letter at symmetry index n, where every key is its own representative.
     """
     lam = canonicalize(lam)
     if len(lam) > n:
@@ -358,7 +407,8 @@ def _d_row(lam, n):
     i = next((k + 1 for k in range(n - 1) if p[k] > p[k + 1]), None)
     if i is None:
         star, m, _ = lambda_star(lam)
-        return _d_row(star, n).phibar_op(m)
+        image = OrbitElement(n, n, _d_row(star, n).terms).letters(m, _PHIBAR)
+        return ModuleElement.zero(n)._raw(image.terms)
     return _d_row(swap(lam, i), n).hi_inv(i)
 
 

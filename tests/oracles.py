@@ -13,17 +13,19 @@ the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
 straight from its operator word, the Phi/Phibar letters as a chain of
 generator passes over the whole element, with E~ and the marked E~ built
 from them, the E~ and marked E~ recursions over every key of the rank-n
-support (ModuleElement.letters), and distinct permutations by brute force.
+support (the library's one letter, OrbitElement.letters, at m = n, where
+every key is its own representative), and distinct permutations by brute
+force.
 """
 
 import itertools
 from functools import lru_cache
 
 from qtkostka.bruhat import min_rep_length
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, ZERO, add_product, finish
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish
 from qtkostka.compositions import box_enumeration, lambda_star
 from qtkostka.kl import skew_positive_part
-from qtkostka.parabolic import ModuleElement, d_basis
+from qtkostka.parabolic import ModuleElement, OrbitElement, d_basis
 
 
 def mul_perm(a, b):
@@ -295,20 +297,31 @@ def marked_e_chain(d, n):
     return x
 
 
+def full_letter(x, c, letters):
+    """OrbitElement.letters(c, letters) on a ModuleElement x, read as the
+    OrbitElement at m = n over its own terms."""
+    return ModuleElement(x.rank, OrbitElement(x.rank, x.rank, x.terms).letters(c, letters).terms)
+
+
+PHI = ((False, 1, 0, 0),)
+PHIBAR = ((True, 1, 0, 0),)
+MINUS_PHIBAR = ((True, -1, 0, 0),)
+
+
 def e_tilde_full(lam, n):
-    """E~_lambda at rank n over the whole support, one letters call per star step."""
+    """E~_lambda at rank n over the whole support, one letter call per star step."""
     if not lam:
         return ModuleElement.basis((), n)
     star, m, a = lambda_star(lam)
-    return e_tilde_full(star, n).letters(m, ONE, CoeffPoly.monomial(-1, 2 * a, lam[m - 1]))
+    return full_letter(e_tilde_full(star, n), m, PHI + ((True, -1, 2 * a, lam[m - 1]),))
 
 
 def marked_e_full(d, n):
-    """The marked E~ of d at rank n over the whole support, one letters call per box."""
+    """The marked E~ of d at rank n over the whole support, one letter call per box."""
     order, cols = box_enumeration(d.shape)
     x = ModuleElement.basis((), n)
     for s, c in zip(order, cols):
-        x = x.letters(c, ZERO, MINUS_ONE) if s in d.marked else x.letters(c, ONE, ZERO)
+        x = full_letter(x, c, MINUS_PHIBAR if s in d.marked else PHI)
     return x
 
 

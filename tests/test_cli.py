@@ -214,6 +214,14 @@ def test_scan_cli(runner, tmp_path):
     assert doc["pairs"] == 14 and doc["violations"] == []
 
 
+def test_scan_rejects_a_negative_max_len(runner):
+    # a usage error (exit 2), not a traceback under the violation code 1
+    r = runner.invoke(cli.main, ["scan", "--max-weight", "2", "--max-len", "-1"])
+    assert r.exit_code == 2
+    assert "--max-len must be nonnegative" in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
 def test_scan_rejects_bad_jobs(runner):
     # jobs are clamped rather than rejected
     r = runner.invoke(cli.main, ["scan", "--max-weight", "0", "--jobs", "0"])

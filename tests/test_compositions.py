@@ -208,6 +208,14 @@ def test_compositions_of():
         assert canonicalize(lam) == lam
 
 
+def test_compositions_of_refuses_a_negative_length():
+    # a negative cap is refused up front rather than recursed on
+    assert compositions_of(0, 0) == [()] and compositions_of(2, 0) == []
+    for max_len in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            compositions_of(2, max_len)
+
+
 @given(comps)
 @settings(max_examples=100, deadline=None)
 def test_canonicalize_idempotent(raw):

@@ -2,7 +2,8 @@
 
 Every name a library module imports is read somewhere in it.  Every
 top-level function is read by library code outside its own body; a public
-one may instead be re-exported by __init__.py or be a click command.
+one may instead be re-exported by __init__.py or be a click command.  No
+two library modules define the same top-level name.
 """
 
 import ast
@@ -105,3 +106,25 @@ def test_no_unreferenced_public_functions():
     assert _unreferenced(
         lambda name, node: name.startswith("_") or name in exported or _is_click_command(node)
     ) == []
+
+
+def _defined(tree):
+    """The names a module binds at top level: functions, classes, assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+def test_no_name_is_defined_in_two_modules():
+    # two private helpers of one name read as one routine in two places
+    owners = {}
+    for fname, tree in _library_trees().items():
+        for name in set(_defined(tree)):
+            owners.setdefault(name, []).append(fname)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}

@@ -127,7 +127,7 @@ def test_quotient_solve_matches_the_full_rank_solve(cold):
         got = kl_element(lam, n)
         assert got.element == want, (lam, n)
         for m in range(partition_length(lam), n + 1):
-            assert got.expansion(m) == msym_expand(want, m).terms, (lam, m, n)
+            assert got.expansion(m) == msym_expand(want, m), (lam, m, n)
             count += 1
     assert count > 1500
 
@@ -176,7 +176,7 @@ def _corrupt_each_row_entry(lam, n):
     kl_element call solves again over it.
     """
     el = kl_element(lam, n)
-    for tau in sorted(el.coeffs):
+    for tau in sorted(el.terms):
         bottom = _bottom(tau, el.m, n)
         row = d_basis(bottom, n)
         for nu in sorted(row.terms):
@@ -271,7 +271,7 @@ def test_corrupted_orbit_row_shape_is_caught(cold):
     # an orbit row with an entry above its diagonal, or a diagonal other than 1
     lam, n = (2, 1), 4
     el = kl_element(lam, n)
-    below = min(el.coeffs, key=lambda tau: min_rep_length(tau, n))
+    below = min(el.terms, key=lambda tau: min_rep_length(tau, n))
     for corrupt, message in [
         (lambda row: row.__setitem__(lam, V), "not strictly triangular"),
         (lambda row: row.__setitem__(below, V), "bad diagonal"),

@@ -25,7 +25,6 @@ from qtkostka.compositions import (
 )
 from qtkostka.kl import kl_element
 from qtkostka.kostka import (
-    MSymExpansion,
     MSymmetryViolation,
     charge_oracle,
     kostka,
@@ -42,7 +41,7 @@ from qtkostka.kostka import (
     schur_z,
 )
 from qtkostka.macdonald import e_tilde, marked_e
-from qtkostka.parabolic import ModuleElement
+from qtkostka.parabolic import ModuleElement, OrbitElement
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -138,7 +137,7 @@ def test_msym_expand_needs_the_ascent_partner_of_every_descent():
 
 
 def test_pair_needs_divisible_coefficients():
-    x = MSymExpansion(0, 3, {(1, 1): ONE})
+    x = OrbitElement(3, 0, {(1, 1): ONE})
     with pytest.raises(NonExactDivision):
         pair(x, x)
 

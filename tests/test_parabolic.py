@@ -5,13 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import d_basis_word, letter_chain
+from oracles import PHI, PHIBAR, d_basis_word, full_letter, letter_chain
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
 from qtkostka.compositions import all_markings, compositions_of, pad, swap
-from qtkostka.macdonald import e_tilde, marked_e
+from qtkostka.macdonald import e_orbit, marked_orbit
 from qtkostka.bruhat import preceq
 from qtkostka.parabolic import (
     ModuleElement,
+    OrbitElement,
     bar_d,
     d_basis,
     psi_monomial,
@@ -96,24 +97,25 @@ def test_omega_relations():
 def test_operator_words():
     # Phi_m = H_m ... H_{n-1} omega applied right to left
     x = ModuleElement.basis((1,), 3)
-    assert x.phi_op(3) == x.omega()
-    assert x.phi_op(2) == x.omega().hi(2)
-    assert x.phi_op(1) == x.omega().hi(2).hi(1)
-    assert x.phibar_op(2) == x.omega().hi_inv(2)
+    assert full_letter(x, 3, PHI) == x.omega()
+    assert full_letter(x, 2, PHI) == x.omega().hi(2)
+    assert full_letter(x, 1, PHI) == x.omega().hi(2).hi(1)
+    assert full_letter(x, 2, PHIBAR) == x.omega().hi_inv(2)
     # Z_1 = H_1^{-1} ... H_{n-1}^{-1} omega
     assert x.z_op(1) == x.omega().hi_inv(2).hi_inv(1)
     assert x.z_op(2) == x.hi(1).omega().hi_inv(2)
 
 
 def _letter_inputs():
-    """(label, element): basis elements of weight <= 4 at ranks 2-8, E~ and
-    marked E~ of weight <= 3 at ranks up to 6, and seeded random (v,q)
-    combinations of weight <= 4 keys at every rank."""
+    """(label, element, orbit form or None): basis elements of weight <= 4 at
+    ranks 2-8, seeded random (v,q) combinations of weight <= 4 keys at every
+    rank, and E~ and marked E~ of weight <= 3 at ranks up to 6 with their
+    orbit forms."""
     rng = random.Random(7)
     for n in range(2, 9):
         keys = [lam for d in range(5) for lam in compositions_of(d, n)]
         for lam in keys:
-            yield ("basis", lam, n), ModuleElement.basis(lam, n)
+            yield ("basis", lam, n), ModuleElement.basis(lam, n), None
         for k in range(6):
             terms = {}
             for lam in rng.sample(keys, min(len(keys), 4)):
@@ -121,36 +123,51 @@ def _letter_inputs():
                     (rng.randint(-3, 3), rng.randint(0, 2)): rng.choice([-2, -1, 1, 3])
                     for _ in range(3)
                 })
-            yield ("random", k, n), ModuleElement(n, terms)
+            yield ("random", k, n), ModuleElement(n, terms), None
         if n > 6:
             continue
         for d in range(4):
             for lam in compositions_of(d, min(n, 3)):
-                yield ("e", lam, n), e_tilde(lam, n).element
+                form = e_orbit(lam, n)
+                yield ("e", lam, n), form.element, form
                 for dg in all_markings(lam):
-                    yield ("marked", dg, n), marked_e(dg, n)
+                    form = marked_orbit(dg, n)
+                    yield ("marked", dg, n), form.element, form
 
 
 def test_letters_match_the_chain_oracle():
-    # the one-pass row form of Phi_m / Phibar_m against the n - m + 1 passes
+    # the one orbit letter against the n - m + 1 generator passes: at m = n
+    # on every input, and at their own symmetry index on E~ and marked E~
     count = 0
     rng = random.Random(11)
-    for label, x in _letter_inputs():
+    for label, x, form in _letter_inputs():
         n = x.rank
         for m in range(1, n + 1):
             phi = letter_chain(x, m, False)
             phibar = letter_chain(x, m, True)
-            assert x.phi_op(m) == phi, (label, m)
-            assert x.phibar_op(m) == phibar, (label, m)
-            a = CoeffPoly.monomial(rng.choice([-1, 2]), rng.randint(-2, 2), rng.randint(0, 2))
-            b = CoeffPoly.monomial(rng.choice([-1, 2]), rng.randint(-2, 2), rng.randint(0, 2))
-            assert x.letters(m, a, b) == phi.scale(a) + phibar.scale(b), (label, m)
+            assert full_letter(x, m, PHI) == phi, (label, m)
+            assert full_letter(x, m, PHIBAR) == phibar, (label, m)
+            ka, a = rng.choice([-1, 2]), (rng.randint(-2, 2), rng.randint(0, 2))
+            kb, b = rng.choice([-1, 2]), (rng.randint(-2, 2), rng.randint(0, 2))
+            both = ((False, ka) + a, (True, kb) + b)
+            want = phi.scale(CoeffPoly.monomial(ka, *a)) + phibar.scale(CoeffPoly.monomial(kb, *b))
+            assert full_letter(x, m, both) == want, (label, m)
+            if form is not None:
+                assert form.letters(m, PHI).element == phi, (label, m)
+                assert form.letters(m, PHIBAR).element == phibar, (label, m)
+                y = form.letters(m, both)
+                assert y.m == max(form.m, m) and y.element == want, (label, m)
             count += 1
     assert count > 10000
-    with pytest.raises(ValueError):
-        ModuleElement.basis((1,), 3).phi_op(4)
-    with pytest.raises(ValueError):
-        ModuleElement.basis((1,), 3).phibar_op(0)
+
+
+def test_a_letter_index_outside_the_rank_is_refused():
+    # both ends, on the full basis (m = n) and on an orbit form below it
+    for form in (OrbitElement(3, 3, {(1,): ONE}), e_orbit((1,), 3)):
+        for c in (0, form.rank + 1):
+            for letters in (PHI, PHIBAR):
+                with pytest.raises(ValueError, match="out of range"):
+                    form.letters(c, letters)
 
 
 def test_projection():

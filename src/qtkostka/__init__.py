@@ -66,6 +66,7 @@ from .kostka import (
     pair,
     pair_truncated,
     psi_e_polynomial,
+    quotients,
     scan,
     schur_z,
 )

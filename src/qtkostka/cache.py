@@ -34,6 +34,11 @@ def cache_path(root, kind, key):
     return os.path.join(root, kind, h + ".json")
 
 
+def cache_has(root, kind, key):
+    """Whether an entry file exists for (kind, key); its content is not read."""
+    return os.path.exists(cache_path(root, kind, key))
+
+
 def cache_get(root, kind, key):
     """The stored payload, or None on miss, stale format, or corruption."""
     path = cache_path(root, kind, key)
@@ -42,7 +47,8 @@ def cache_get(root, kind, key):
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if data.get("format") != FORMAT or data.get("kind") != kind or data.get("key") != key:
+    if (not isinstance(data, dict) or data.get("format") != FORMAT
+            or data.get("kind") != kind or data.get("key") != key):
         return None
     return data.get("payload")
 
@@ -80,14 +86,19 @@ def cached(root, kind, key, field, decode, compute):
     """The value stored under payload[field], or compute() stored there.
 
     decode turns the stored JSON back into a value, and a computed value is
-    stored as value.to_json().  With root None there is no cache: compute()
-    is returned and nothing is read or written.
+    stored as value.to_json().  A stored payload that lacks field or does
+    not decode is a miss: the value is computed and the entry is left as it
+    is (entries are never rewritten).  With root None there is no cache:
+    compute() is returned and nothing is read or written.
     """
     if root is None:
         return compute()
     payload = cache_get(root, kind, key)
     if payload is not None:
-        return decode(payload[field])
+        try:
+            return decode(payload[field])
+        except (LookupError, TypeError, ValueError):
+            return compute()
     value = compute()
     cache_put(root, kind, key, {field: value.to_json()})
     return value

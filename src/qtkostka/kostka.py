@@ -1,11 +1,12 @@
 """Composition Kostka functions and the conjecture scanner.
 
-K_{lambda,mu}(q,t) is the stable scalar product of the Kazhdan-Lusztig
-element over lambda with the Macdonald element over mu.  Both sides are
-expanded in the m-symmetric basis M^{tau|m}, the pairing divides the
-Macdonald coefficients by the Hall-Littlewood factor b of the partition
-tail (an exact division, checked once per coefficient of each memoized
-expansion), and the value is certified stable under a rank bump.
+K_{lambda,mu}(q,t) = <KL_lambda, E~_mu> is the stable scalar product of the
+Kazhdan-Lusztig element over lambda with the Macdonald element over mu, both
+read in the m-symmetric basis M^{tau|m}.  quotients divides each coefficient
+of the Macdonald side, a letter word's expansion, by the Hall-Littlewood
+factor b of the partition tail, exactly and once per memoized expansion
+(_quotients), so the pairing is a plain sum of products.  The value is
+certified stable under a rank bump.
 
 The module also carries the independent cross-check routes: Schur
 polynomials by tableau enumeration in place of the KL solver, the charge
@@ -19,11 +20,10 @@ import csv
 import functools
 import itertools
 import json
-import os
 import time
 from dataclasses import dataclass
 
-from .cache import cache_path, cached
+from .cache import cache_has, cached
 from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO, add_product, finish
 from .compositions import (
     MarkedDiagram,
@@ -40,7 +40,7 @@ from .compositions import (
     weight,
 )
 from .kl import kl_element
-from .macdonald import e_orbit, marked_orbit
+from .macdonald import e_orbit, e_word, marked_word, word_orbit
 from .memo import memoized
 from .parabolic import OrbitElement
 from .polyrep import ZPoly, to_module
@@ -102,35 +102,30 @@ def msym_basis(tau, m, n):
     return OrbitElement(n, m, {tau: ONE}).element
 
 
-def pair(x, y, quotients=None):
-    """The stable scalar product of two OrbitElements at one (m, rank).
+def quotients(y):
+    """y with each coefficient p_tau divided by b(tau[m:]), the pairing's factor.
 
-    Reads both at their representatives and divides the second argument's
-    coefficients by b(tail); the division must be exact, otherwise the
-    inputs were not genuinely stable-paired objects and NonExactDivision
-    propagates.  quotients, when given, keeps the quotients of y across
-    calls: a memoized y comes with its own dict, so each of its coefficients
-    is divided, and checked exact, once, and later pairings read the
-    quotient back and only multiply.
+    Every division must be exact, else NonExactDivision: y was not a
+    genuinely stable-paired object.
     """
-    if x.m != y.m or x.rank != y.rank:
-        raise ValueError("expansions live at different (m, rank)")
-    if quotients is None:
-        quotients = {}
-    out = {}
-    for tau, xc in x.terms.items():
-        q = quotients.get(tau)
-        if q is None:
-            yc = y.terms.get(tau)
-            if yc is None:
-                continue
-            q = quotients[tau] = yc.exact_div(CoeffPoly.b_partition(tau[x.m :]))
-        add_product(out, xc, q)
-    return finish(out)
+    return OrbitElement(y.rank, y.m, {
+        tau: c.exact_div(CoeffPoly.b_partition(tau[y.m :])) for tau, c in y.terms.items()
+    })
+
+
+def pair(x, yq):
+    """The stable scalar product <x, y> of two OrbitElements at one (m, rank).
+
+    yq is quotients(y): the b-division is already done, so the pairing is
+    the sum over the representatives tau of x_tau yq_tau.
+    """
+    if x.m != yq.m:
+        raise ValueError("expansions live at different m")
+    return pair_truncated(x, yq)
 
 
 def pair_truncated(x, y):
-    """Plain orthonormal pairing of standard-basis coefficients at finite rank."""
+    """Plain orthonormal pairing of the coefficients of x and y at one rank."""
     if x.rank != y.rank:
         raise ValueError("rank mismatch")
     out = {}
@@ -150,18 +145,9 @@ def _kl_expansion(lam, m, n):
 
 
 @memoized
-def _e_expansion(mu, m, n):
-    """The expansion of E~_mu, with the dict of its quotients for pair.
-
-    Read off the orbit form, certified row by row (proof in parabolic.py),
-    so the full E~ is never built.
-    """
-    return e_orbit(mu, n).expansion(m), {}
-
-
-@memoized
-def _marked_expansion(d, m, n):
-    return marked_orbit(d, n).expansion(m), {}
+def _quotients(word, m, n):
+    """quotients of the letter word's element (macdonald.word_orbit) read at m."""
+    return quotients(word_orbit(word, n).expansion(m))
 
 
 def _ranks(lam, mu):
@@ -176,16 +162,14 @@ def kostka(lam, mu):
     Ranks: m = max(pl(lambda), l(mu)), n = m + weight + 1 (_ranks); the
     value is recomputed at n+1 and must agree (stability certificate).
     """
-    return _kostka(canonicalize(lam), canonicalize(mu))
-
-
-@memoized
-def _kostka(lam, mu):
+    lam = canonicalize(lam)
+    mu = canonicalize(mu)
     if weight(lam) != weight(mu):
         return KostkaResult(lam, mu, ZERO, 0, 2, True, True)
     m, n = _ranks(lam, mu)
-    value = pair(_kl_expansion(lam, m, n), *_e_expansion(mu, m, n))
-    bumped = pair(_kl_expansion(lam, m, n + 1), *_e_expansion(mu, m, n + 1))
+    word = e_word(mu)
+    value = pair(_kl_expansion(lam, m, n), _quotients(word, m, n))
+    bumped = pair(_kl_expansion(lam, m, n + 1), _quotients(word, m, n + 1))
     if value != bumped:
         raise ConsistencyError(
             "K_{%r,%r} differs between ranks %d and %d" % (lam, mu, n, n + 1)
@@ -239,7 +223,7 @@ def marked_kostka(lam, d):
         raise ValueError("weights differ: %r vs %r" % (lam, shape))
     m, n = _ranks(lam, shape)
     _, l_stat = marking_stats(d)
-    value = pair(_kl_expansion(lam, m, n), *_marked_expansion(d, m, n))
+    value = pair(_kl_expansion(lam, m, n), _quotients(marked_word(d), m, n))
     value = value.shift(v_exp=2 * l_stat)
     if not value.is_q_free():
         raise ConsistencyError("marked Kostka of %r picked up q: %r" % (shape, value))
@@ -326,7 +310,7 @@ def kostka_via_schur(lam, mu):
         return ZERO
     m, n = _ranks(lam, mu)
     x = msym_expand(to_module(schur_z(lam, n)), m)
-    return pair(x, *_e_expansion(mu, m, n))
+    return pair(x, _quotients(e_word(mu), m, n))
 
 
 def _charge(word):
@@ -442,7 +426,7 @@ def _all_cached(lams, domain, marked, cache_dir):
     starting worker processes would cost more than it saves.
     """
     return cache_dir is not None and all(
-        os.path.exists(cache_path(cache_dir, kind, cache_key))
+        cache_has(cache_dir, kind, cache_key)
         for lam in lams
         for kind, _, cache_key, *_ in _entries(lam, domain, marked)
     )

@@ -10,17 +10,19 @@ and decompose E~ as a q,t-weighted sum over all markings.  The engine also
 provides the duality identity, the intertwiner relation and the symmetric
 polynomial J_mu, all used as cross-checks downstream.
 
-Orbit form.  E~ and every marked E~ are built as parabolic.OrbitElements,
-one OrbitElement.letters call per letter: a symmetry index m and one
-coefficient p_tau per representative tau of the orbit basis M^{tau|m}, the
-basis the pairing reads.  A letter Phi_c maps an m'-symmetric element to a
-max(m', c)-symmetric one and each orbit row it reads is certified (proofs
-in parabolic.py).  M^0 is 0-symmetric, so E~_lambda ends up
-l(lambda)-symmetric, and a marked E~ m-symmetric for its largest column
-length, at most l(shape).  The final E~ passes the block check msym_expand
-runs on it, so the pairing reads expansion(m) and never builds a full E~;
-the full element is expanded only when asked for (e_tilde(...).element,
-marked_e).
+Words in orbit form.  E~ (the star chain, e_word) and every marked E~
+(the box enumeration, marked_word) are words of steps (c, letters) on M^0,
+built by the one memoized word_orbit, one OrbitElement.letters call per
+step, so words that share a prefix share its element.  The result has a
+symmetry index m and one coefficient p_tau per representative tau of the
+orbit basis M^{tau|m}, the basis the pairing reads.  A letter Phi_c maps an
+m'-symmetric element to a max(m', c)-symmetric one and each orbit row it
+reads is certified (proofs in parabolic.py).  M^0 is 0-symmetric, so
+E~_lambda ends up l(lambda)-symmetric, and a marked E~ m-symmetric for its
+largest column length, at most l(shape).  The final element passes the
+block check msym_expand runs on it, so the pairing reads expansion(m) and
+never builds a full E~; the full element is expanded only when asked for
+(e_tilde(...).element, marked_e).
 """
 
 from __future__ import annotations
@@ -69,20 +71,36 @@ def _check_rank(lam, n):
         raise ValueError("rank %d too small for %r" % (n, lam))
 
 
-@memoized
-def _e_orbit(lam, n):
-    """E~_lambda at rank n, one letter pair on E~ of lambda* down the star chain."""
+def e_word(lam):
+    """The star chain of E~_lambda as a word: one (m, letters) step per box."""
     if not lam:
-        return OrbitElement(n, 0, {(): ONE})
+        return ()
     star, m, a = lambda_star(lam)
-    return _e_orbit(star, n).letters(m, _PHI + ((True, -1, 2 * a, lam[m - 1]),))
+    return e_word(star) + ((m, _PHI + ((True, -1, 2 * a, lam[m - 1]),)),)
+
+
+def marked_word(d):
+    """The word of a marked diagram, in box enumeration order (first box first).
+
+    Each box is one step: Phi_c if it is unmarked, -Phibar_c if it is marked.
+    """
+    order, cols = box_enumeration(canonicalize(d.shape))
+    return tuple((c, _MINUS_PHIBAR if s in d.marked else _PHI) for s, c in zip(order, cols))
+
+
+@memoized
+def word_orbit(word, n):
+    """The steps (c, letters) of word applied to M^0 at rank n, first step first."""
+    if not word:
+        return OrbitElement(n, 0, {(): ONE})
+    return word_orbit(word[:-1], n).letters(*word[-1])
 
 
 def e_orbit(lam, n):
     """E~_lambda at rank n in orbit form, l(lambda)-symmetric."""
     lam = canonicalize(lam)
     _check_rank(lam, n)
-    return _e_orbit(lam, n)
+    return word_orbit(e_word(lam), n)
 
 
 def e_tilde(lam, n):
@@ -114,32 +132,14 @@ def e_monomial(lam, n):
 
 
 def marked_orbit(d, n):
-    """Partial Macdonald polynomial of a marked diagram, in orbit form.
-
-    Applies Phi_{c} per unmarked box and -Phibar_{c} per marked box, in box
-    enumeration order (first box first).
-    """
-    shape = canonicalize(d.shape)
-    _check_rank(shape, n)
-    order, cols = box_enumeration(shape)
-    return _word_e(tuple((c, s in d.marked) for s, c in zip(order, cols)), n)
+    """Partial Macdonald polynomial of a marked diagram, in orbit form."""
+    _check_rank(canonicalize(d.shape), n)
+    return word_orbit(marked_word(d), n)
 
 
 def marked_e(d, n):
     """The partial Macdonald polynomial of marked_orbit in the standard basis."""
     return marked_orbit(d, n).element
-
-
-@memoized
-def _word_e(word, n):
-    """The letters of a word of (column, marked) pairs on M^0, first pair first.
-
-    Keyed by the word, so markings that share a prefix share its element.
-    """
-    if not word:
-        return OrbitElement(n, 0, {(): ONE})
-    c, marked = word[-1]
-    return _word_e(word[:-1], n).letters(c, _MINUS_PHIBAR if marked else _PHI)
 
 
 def marked_sum_check(lam, n, bound=8):

@@ -250,9 +250,11 @@ class OrbitElement:
     terms: dict
 
     def expansion(self, m):
-        """The same element at the symmetry index m >= self.m."""
+        """The same element at the symmetry index m >= self.m; self at m = self.m."""
         if not self.m <= m <= self.rank:
             raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
+        if m == self.m:
+            return self  # instances are immutable
         out = {}
         for tau, p in self.terms.items():
             # keys with one offset share one coefficient object

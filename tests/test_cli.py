@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import qtkostka.cli as cli
+from qtkostka.cache import FORMAT, cache_path
 from qtkostka.coeffs import ConsistencyError
 
 
@@ -133,7 +134,7 @@ def test_scan_internal_failure_is_exit_3_over_a_violation(runner, monkeypatch):
 def test_cache_entry_bytes_are_the_canonical_encoding(tmp_path):
     # perfbench reads entries back and other checkouts share a cache
     # directory, so the bytes of an entry are pinned
-    from qtkostka.cache import FORMAT, cache_get, cache_path, cache_put
+    from qtkostka.cache import cache_get, cache_path, cache_put
 
     root = str(tmp_path)
     key = {"lambda": "2,1", "mu": "1,2"}
@@ -144,6 +145,32 @@ def test_cache_entry_bytes_are_the_canonical_encoding(tmp_path):
         assert fh.read() == json.dumps(want, sort_keys=True, separators=(",", ":")).encode()
     assert not cache_put(root, "kostka", key, {"value": []})
     assert cache_get(root, "kostka", key) == payload
+
+
+_KEY_1_1 = {"lambda": "1", "mu": "1"}
+
+
+@pytest.mark.parametrize("entry", [
+    ["a", "json", "list"],
+    {"format": FORMAT, "kind": "kostka", "key": _KEY_1_1, "payload": {"other": []}},
+    {"format": FORMAT, "kind": "kostka", "key": _KEY_1_1, "payload": {"value": [["v", 0]]}},
+], ids=["list", "no-value", "bad-terms"])
+def test_a_malformed_cache_entry_is_a_miss(runner, tmp_path, entry):
+    clean = runner.invoke(cli.main, ["scan", "--max-weight", "1", "--csv", str(tmp_path / "a.csv")])
+    cache = tmp_path / "cache"
+    path = cache_path(str(cache), "kostka", _KEY_1_1)
+    (cache / "kostka").mkdir(parents=True)
+    planted = json.dumps(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(planted)
+    r = runner.invoke(cli.main, ["scan", "--max-weight", "1", "--cache", str(cache),
+                                 "--csv", str(tmp_path / "b.csv")])
+    assert r.exit_code == 0, r.output
+    assert clean.exit_code == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # the value was recomputed, and the entry is left as it was
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == planted
 
 
 def test_cache_round_trip(runner, tmp_path, monkeypatch):

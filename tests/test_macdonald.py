@@ -6,7 +6,7 @@ from oracles import e_tilde_chain, e_tilde_full, marked_e_chain, marked_e_full
 from qtkostka import clear_caches, kl_element, kostka, kostka_via_schur, marked_kostka
 from qtkostka import parabolic
 from qtkostka.coeffs import _PAIRS, CoeffPoly, ConsistencyError, ONE, V
-from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of
+from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of, lambda_star
 from qtkostka.kostka import msym_expand, psi_e_polynomial
 from qtkostka.macdonald import (
     duality_check,
@@ -14,11 +14,14 @@ from qtkostka.macdonald import (
     e_monomial,
     e_orbit,
     e_tilde,
+    e_word,
     intertwiner_check,
     marked_e,
     marked_orbit,
     marked_sum_check,
+    marked_word,
     symmetric_j,
+    word_orbit,
 )
 from qtkostka.parabolic import ModuleElement, OrbitElement, bar_d
 
@@ -107,6 +110,31 @@ def test_orbit_forms_match_the_full_basis_oracle():
     assert e_tilde((2, 0, 1), 5).element is e_orbit((2, 0, 1), 5).element
     d = MarkedDiagram((2, 1), frozenset({(1, 2)}))
     assert marked_e(d, 4) is marked_orbit(d, 4).element
+
+
+def _star_chain(lam, n):
+    """E~_lambda = (Phi_m - q^{lambda_m} t^a Phibar_m) E~_{lambda*}, recursively."""
+    if not lam:
+        return OrbitElement(n, 0, {(): ONE})
+    star, m, a = lambda_star(lam)
+    return _star_chain(star, n).letters(m, ((False, 1, 0, 0), (True, -1, 2 * a, lam[m - 1])))
+
+
+def test_the_word_builder_is_the_star_chain():
+    count = 0
+    for d in range(4):
+        for lam in compositions_of(d, 3):
+            for n in (max(len(lam) + 1, 2), len(lam) + 3):
+                x = word_orbit(e_word(lam), n)
+                assert x == _star_chain(lam, n), (lam, n)
+                assert x is e_orbit(lam, n)
+                for dg in all_markings(lam):
+                    assert marked_orbit(dg, n) is word_orbit(marked_word(dg), n)
+                count += 1
+    assert count == 2 * 20  # 20 compositions of weight <= 3 and length <= 3
+    # a word's prefixes are its chain's elements, shared through the memo
+    word = e_word((2, 0, 1))
+    assert word[:-1] == e_word(lambda_star((2, 0, 1))[0])
 
 
 def test_a_corrupted_letter_row_fails_the_orbit_row_check(monkeypatch):

@@ -161,6 +161,16 @@ def test_letters_match_the_chain_oracle():
     assert count > 10000
 
 
+def test_expansion_at_its_own_index_is_the_element_itself():
+    # instances are immutable, so reading at one's own m copies nothing
+    from qtkostka.kl import kl_element
+
+    for form in (e_orbit((2, 0, 1), 5), kl_element((1, 2), 5), OrbitElement(3, 3, {(1,): ONE})):
+        assert form.expansion(form.m) is form
+        if form.m < form.rank:
+            assert form.expansion(form.m + 1) is not form
+
+
 def test_a_letter_index_outside_the_rank_is_refused():
     # both ends, on the full basis (m = n) and on an orbit form below it
     for form in (OrbitElement(3, 3, {(1,): ONE}), e_orbit((1,), 3)):

@@ -29,7 +29,8 @@ from .compositions import (
     weight,
 )
 from .bruhat import leq_affine, min_rep_length, preceq
-from .parabolic import ModuleElement, OrbitElement, bar_d, d_basis, psi_monomial
+from .parabolic import (ModuleElement, MSymmetryViolation, OrbitElement, bar_d, d_basis,
+                        msym_expand, psi_monomial)
 from .polyrep import (
     ZPoly,
     bar_polynomial,
@@ -54,7 +55,6 @@ from .macdonald import (
 from .kl import KLElement, kl_element, skew_positive_part
 from .kostka import (
     KostkaResult,
-    MSymmetryViolation,
     charge_oracle,
     kostka,
     kostka_q0_check,
@@ -62,7 +62,6 @@ from .kostka import (
     marked_decomposition_check,
     marked_kostka,
     msym_basis,
-    msym_expand,
     pair,
     pair_truncated,
     psi_e_polynomial,

@@ -3,8 +3,9 @@
 Entries are keyed by (kind, key-dict); the file name is the sha256 of the
 canonical JSON encoding, so identical computations land on identical paths.
 Writes go to a temp file followed by an atomic rename, which keeps a cache
-directory safe under concurrent scanners.  Existing entries are never
-rewritten.
+directory safe under concurrent scanners.  cache_put never rewrites an
+existing entry; cached writes a recomputed value over an entry it could not
+use, and never rewrites one it could.
 
 Layout: one flat directory per kind, ``<root>/<kind>/<sha256>.json``.  There
 is no shard level below the kind: a directory costs an inode allocation, as
@@ -58,6 +59,12 @@ def cache_put(root, kind, key, payload):
     path = cache_path(root, kind, key)
     if os.path.exists(path):
         return False
+    _write(path, kind, key, payload)
+    return True
+
+
+def _write(path, kind, key, payload):
+    """Write the entry at path through a temp file and an atomic rename."""
     # dumps encodes in C in one call; dump would feed the file chunk by chunk
     # from the pure-Python iterencode
     text = json.dumps(
@@ -79,16 +86,16 @@ def cache_put(root, kind, key, payload):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return True
 
 
 def cached(root, kind, key, field, decode, compute):
     """The value stored under payload[field], or compute() stored there.
 
     decode turns the stored JSON back into a value, and a computed value is
-    stored as value.to_json().  A stored payload that lacks field or does
-    not decode is a miss: the value is computed and the entry is left as it
-    is (entries are never rewritten).  With root None there is no cache:
+    stored as value.to_json().  A missing entry is a miss, and so is one
+    that cache_get rejects or whose payload lacks field or does not decode:
+    the value is computed and stored, over such an entry too.  An entry
+    cached can use is never rewritten.  With root None there is no cache:
     compute() is returned and nothing is read or written.
     """
     if root is None:
@@ -98,7 +105,10 @@ def cached(root, kind, key, field, decode, compute):
         try:
             return decode(payload[field])
         except (LookupError, TypeError, ValueError):
-            return compute()
+            pass
     value = compute()
-    cache_put(root, kind, key, {field: value.to_json()})
+    payload = {field: value.to_json()}
+    if not cache_put(root, kind, key, payload):
+        # cache_put keeps the entry that was there, which could not be used
+        _write(cache_path(root, kind, key), kind, key, payload)
     return value

@@ -58,7 +58,11 @@ def _parse(text):
 
 
 def _env_cache(explicit=None):
-    return explicit or os.environ.get("KOSTKA_CACHE") or None
+    # click refuses a --cache that names a file; $KOSTKA_CACHE is checked here
+    path = explicit or os.environ.get("KOSTKA_CACHE") or None
+    if path is not None and os.path.exists(path) and not os.path.isdir(path):
+        raise click.UsageError("KOSTKA_CACHE=%s is not a directory" % path)
+    return path
 
 
 def _emit(obj, fmt):

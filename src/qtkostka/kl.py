@@ -49,9 +49,10 @@ by bar(s_tau); and self-duality, recomputed from scratch over the orbit rows
 as sum_tau bar(p_tau) R[tau] == p.  They imply the certificates of the
 full-rank solve:
 
-* Each M^{tau|m} passes the block check H_i = v^-1 for i > m (a test pins
-  this for msym_basis), so the element sum_tau p_tau M^{tau|m} is m-symmetric
-  by construction.
+* Each M^{tau|m} is an H_i = v^-1 eigenvector for every i > m (proof at
+  parabolic.msym_expand; a test checks it against the generator for
+  msym_basis), so the element sum_tau p_tau M^{tau|m} is m-symmetric by
+  construction.
 * d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m} exactly, as derived
   above, so d(sum_tau p_tau M^{tau|m}) = sum_sigma (sum_tau bar(p_tau)
   R[tau][sigma]) M^{sigma|m}: bar-invariance in the quotient, which the

@@ -42,12 +42,8 @@ from .compositions import (
 from .kl import kl_element
 from .macdonald import e_orbit, e_word, marked_word, word_orbit
 from .memo import memoized
-from .parabolic import OrbitElement
+from .parabolic import OrbitElement, msym_expand
 from .polyrep import ZPoly, to_module
-
-
-class MSymmetryViolation(ConsistencyError):
-    """An element fed to the m-symmetric expansion was not m-symmetric."""
 
 
 @dataclass(frozen=True)
@@ -62,34 +58,6 @@ class KostkaResult:
 
 
 # -- m-symmetric expansions --------------------------------------------------
-
-
-def msym_expand(x, m):
-    """The OrbitElement at index m of an m-symmetric ModuleElement x.
-
-    Its terms are the coefficients of x at the representatives for m, and
-    its element is x again.
-
-    The certificate is H_i x = v^-1 x for every i > m, one two-term block
-    at a time, and the coefficient is read off at the representative tau,
-    whose padded tail p[m:] is weakly decreasing (partition_length(tau) <=
-    m), i.e. which has no ascent at any i > m: ModuleElement.msym_read does
-    both in one pass over the terms.  An orbit pass would check nothing more:
-
-    - s_{m+1}..s_{n-1} generate the tail permutations, and the block check
-      puts s_i kappa in the support whenever kappa_i != kappa_{i+1}: every
-      orbit is complete, with its representative present.
-    - An ascent swap costs v^-1 and inv(s_i kappa) = inv(kappa) - 1 (a test
-      pins that msym_basis passes the block check), so sorting the tail
-      gives c_kappa = v^{inv(kappa) - inv(tau)} c_tau, with inv from sorting_data.
-    """
-    n = x.rank
-    if not 0 <= m <= n:
-        raise ValueError("m out of range")
-    i, reps = x.msym_read(m)
-    if i is not None:
-        raise MSymmetryViolation("H_%d does not act by v^-1; not %d-symmetric" % (i, m))
-    return OrbitElement(n, m, reps)
 
 
 def msym_basis(tau, m, n):

@@ -17,12 +17,12 @@ step, so words that share a prefix share its element.  The result has a
 symmetry index m and one coefficient p_tau per representative tau of the
 orbit basis M^{tau|m}, the basis the pairing reads.  A letter Phi_c maps an
 m'-symmetric element to a max(m', c)-symmetric one and each orbit row it
-reads is certified (proofs in parabolic.py).  M^0 is 0-symmetric, so
-E~_lambda ends up l(lambda)-symmetric, and a marked E~ m-symmetric for its
-largest column length, at most l(shape).  The final element passes the
-block check msym_expand runs on it, so the pairing reads expansion(m) and
-never builds a full E~; the full element is expanded only when asked for
-(e_tilde(...).element, marked_e).
+reads is certified by msym_expand (proofs in parabolic.py).  M^0 is
+0-symmetric, so E~_lambda ends up l(lambda)-symmetric, and a marked E~
+m-symmetric for its largest column length, at most l(shape).  The final
+element is its orbit form by construction, so the pairing reads
+expansion(m) and never builds a full E~; the full element is expanded only
+when asked for (e_tilde(...).element, marked_e).
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ from .compositions import (
     weight,
 )
 from .memo import memoized
-from .parabolic import ModuleElement, OrbitElement, bar_d
+from .parabolic import ModuleElement, MSymmetryViolation, OrbitElement, bar_d, msym_expand
 from .polyrep import from_module
 
 # the letters (barred, k, a, b), each k v^a q^b times Phi_c or Phibar_c
 _PHI = ((False, 1, 0, 0),)
 _MINUS_PHIBAR = ((True, -1, 0, 0),)
+# marked_sum_check refuses shapes past this weight: 2^weight markings
+_MARKING_WEIGHT_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,10 @@ def marked_e(d, n):
     return marked_orbit(d, n).element
 
 
-def marked_sum_check(lam, n, bound=8):
+def marked_sum_check(lam, n):
     """E~_lambda == sum over markings S of q^{A_S} t^{L_S} E~_{lambda,S}."""
     lam = canonicalize(lam)
-    if weight(lam) > bound:
+    if weight(lam) > _MARKING_WEIGHT_BOUND:
         raise ValueError("marking sum over 2^%d subsets refused" % weight(lam))
     total = ModuleElement.zero(n)
     for d in all_markings(lam):
@@ -238,8 +240,10 @@ def symmetric_j(mu, n):
     for a in range(1, n - m + 1):
         denom = denom * (ONE - CoeffPoly.t_power(a))
     j_mod = ModuleElement(n, {k: c.exact_div(denom) for k, c in numer.terms.items()})
-    if j_mod.msym_read(0)[0] is not None:
-        raise ConsistencyError("J_%r is not symmetric at rank %d" % (mu, n))
+    try:
+        msym_expand(j_mod, 0)
+    except MSymmetryViolation as exc:
+        raise MSymmetryViolation("J_%r is not symmetric at rank %d: %s" % (mu, n, exc)) from None
     jz = from_module(j_mod)
     want = ONE
     for s in boxes(mu):

@@ -39,23 +39,23 @@ sum_tau p_tau image_tau, one coeffs.add_product per entry (tau, sigma) of
 the rows.
 
 Certificate.  Each orbit row is certified in full before its representative
-entries are kept: msym_read(max(m', c)) must find H_i = v^-1 on every
-two-term block for i > max(m', c), else ConsistencyError.  That is the
-block check msym_expand runs on a full element, and it implies (proof at
-kostka.msym_expand) that the image equals sum_sigma image_tau[sigma]
-M^{sigma|m}, m = max(m', c), read at its representatives.  By induction
-along a word of letters, an orbit form with index m' and coefficients p_tau
-is exactly the element sum_tau p_tau M^{tau|m'}: true for M^0, and the
-letters are linear over Z[v^±1, q^±1], so
+entries are kept: msym_expand(image, max(m', c)), the one conversion from a
+full element to its orbit form, must find every key of the image on the
+orbit of a representative term, with the coefficient compositions.orbit
+gives it there, else MSymmetryViolation.  So the image equals sum_sigma
+image_tau[sigma] M^{sigma|m}, m = max(m', c), which is m-symmetric (proof at
+msym_expand).  By induction along a word of letters, an orbit form with
+index m' and coefficients p_tau is exactly the element sum_tau p_tau
+M^{tau|m'}: true for M^0, and the letters are linear over Z[v^±1, q^±1], so
 
     L(sum_tau p_tau M^{tau|m'}) = sum_sigma (sum_tau p_tau image_tau[sigma])
                                   M^{sigma|m},
 
-which is the orbit form letters returns.  Each M^{sigma|m} passes the block
-check (a test pins this for msym_basis), and the check is linear, so the
-result passes the check msym_expand runs on it, and its representatives
-for any m'' >= m are OrbitElement.expansion(m'').  At m' = n the check has
-no index to test and each image row is the letter on one basis element.
+which is the orbit form letters returns.  Orbits are disjoint, so that sum
+passes msym_expand at m by definition, and it is m''-symmetric for any m''
+>= m, read at its representatives by OrbitElement.expansion(m'').  At m' = n
+every key is its own orbit and each image row is the letter on one basis
+element.
 
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import ge
 
 from .coeffs import CoeffPoly, ConsistencyError, ONE, add_product, finish
 from .compositions import (
@@ -162,49 +163,6 @@ class ModuleElement(SparseVector):
                     _add_term(acc, lam, c.echo(sign))
         return self._raw(acc)
 
-    def msym_read(self, m):
-        """One pass over the terms: (i, reps) for the m-symmetric read-off.
-
-        i is the least index in (m, n) at which H_i does not act by v^-1, or
-        None.  H_i keeps each block span{M^kappa, M^{s_i kappa}} and scales
-        an equal pair by v^-1; on a block with an ascent kappa (kappa_i <
-        kappa_{i+1}), both coordinates of H_i y = v^-1 y state the same
-        equation c_{s_i kappa} = v^-1 c_kappa.  So the coefficients are
-        compared at the ascent key only, and a descent key needs only its
-        ascent partner to be present: if the partner is there, the ascent's
-        comparison covers the block, and if not, no ascent sees the block.
-
-        reps holds the terms at the representatives, the keys whose padded
-        tail p[m:] is weakly decreasing: those with no ascent at any i > m.
-        """
-        terms = self.terms
-        memo = _SWAP_MEMO
-        idx = range(m + 1, self.rank)
-        first = None
-        reps = {}
-        for lam, c in terms.items():
-            rep = True
-            for i in idx:
-                key = (lam, i)
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = _swap_entry(lam, i)
-                case, swapped = hit
-                if case == 1:
-                    rep = False
-                    # c_{s_i kappa} == v^-1 c_kappa, compared without a new CoeffPoly
-                    other = terms.get(swapped)
-                    broken = other is None or other.terms != {
-                        (a - 1, b): x for (a, b), x in c.terms.items()
-                    }
-                else:
-                    broken = case and swapped not in terms
-                if broken and (first is None or i < first):
-                    first = i
-            if rep:
-                reps[lam] = c
-        return first, reps
-
     def omega(self):
         """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
         n = self.rank
@@ -292,6 +250,64 @@ class OrbitElement:
         return OrbitElement(n, max(self.m, c), _finish_all(acc))
 
 
+class MSymmetryViolation(ConsistencyError):
+    """An element fed to the m-symmetric expansion was not m-symmetric."""
+
+
+def msym_expand(x, m):
+    """The OrbitElement at index m of an m-symmetric ModuleElement x.
+
+    Its terms are those of x at the representatives for m, the keys whose
+    padded tail p[m:] is weakly decreasing; its element is x again.  The
+    certificate is the definition of the orbit form: on each representative
+    tau's orbit, walked with compositions.orbit as expansion walks it, every
+    key kappa must hold v^{inv(kappa) - inv(tau)} x_tau, and every key of x
+    must lie on a walked orbit, else MSymmetryViolation names the first bad
+    key.  That is H_i x = v^-1 x for every i > m:
+
+    - (<=) Take a block {kappa, s_i kappa} with i > m and kappa_i <
+      kappa_{i+1}.  Swapping removes exactly one strict ascending pair, so
+      the orbit offsets are e and e-1, and H_i(v^e M^kappa + v^{e-1}
+      M^{s_i kappa}) = v^-1 (v^e M^kappa + v^{e-1} M^{s_i kappa}).  An
+      equal pair is scaled by v^-1.  So every orbit sum is an H_i = v^-1
+      eigenvector, and so is any combination of them.
+    - (=>) The M^{s_i kappa} coordinate of H_i x = v^-1 x gives c_{s_i
+      kappa} = v^-1 c_kappa at every ascent kappa.  Ascent swaps sort the
+      tail into tau's, one offset at a time, so on each orbit x is fixed by
+      its value at the representative, which is nonzero wherever the orbit
+      meets the support.
+    """
+    n = x.rank
+    if not 0 <= m <= n:
+        raise ValueError("m out of range")
+    terms = x.terms
+    reps = {}
+    walked = 0
+    for tau, p in terms.items():
+        tail = tau[m:]
+        if not all(map(ge, tail, tail[1:])):
+            continue
+        reps[tau] = p
+        # one shifted copy per offset; each key is compared with its terms
+        shifted = {0: p.terms}
+        for kappa, e in orbit(tau, m, n):
+            want = shifted.get(e)
+            if want is None:
+                want = shifted[e] = p.shift(v_exp=e).terms
+            have = terms.get(kappa)
+            if have is None or have.terms != want:
+                raise MSymmetryViolation(
+                    "coefficient at %r is off its orbit; not %d-symmetric" % (kappa, m))
+            walked += 1
+    if walked != len(terms):
+        # orbits are disjoint and every walked key is a term
+        seen = {kappa for tau in reps for kappa, _ in orbit(tau, m, n)}
+        stray = next(kappa for kappa in terms if kappa not in seen)
+        raise MSymmetryViolation(
+            "%r lies on no orbit of a representative term; not %d-symmetric" % (stray, m))
+    return OrbitElement(n, m, reps)
+
+
 def _finish_all(acc):
     """The nonzero finished coefficients of a dict of accumulated terms dicts."""
     out = {}
@@ -326,14 +342,11 @@ def _orbit_image(tau, m, c, n, barred):
         c_nu = CoeffPoly.v_laurent(t)
         if c_nu:
             terms[nu] = c_nu
-    top = max(m, c)
-    i, reps = ModuleElement.zero(n)._raw(terms).msym_read(top)
-    if i is not None:
-        raise ConsistencyError(
-            "%s_%d of M^{%r|%d} at rank %d fails the block check at H_%d; not %d-symmetric"
-            % ("Phibar" if barred else "Phi", c, tau, m, n, i, top)
-        )
-    return reps
+    try:
+        return msym_expand(ModuleElement.zero(n)._raw(terms), max(m, c)).terms
+    except MSymmetryViolation as exc:
+        raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
+                                 % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
 
 
 @memoized

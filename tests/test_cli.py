@@ -8,8 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import qtkostka.cli as cli
-from qtkostka.cache import FORMAT, cache_path
-from qtkostka.coeffs import ConsistencyError
+from qtkostka.cache import FORMAT, cache_get, cache_path
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE
 
 
 @pytest.fixture
@@ -168,9 +168,8 @@ def test_a_malformed_cache_entry_is_a_miss(runner, tmp_path, entry):
     assert r.exit_code == 0, r.output
     assert clean.exit_code == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    # the value was recomputed, and the entry is left as it was
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == planted
+    # the value was recomputed and written over the entry
+    assert CoeffPoly.from_json(cache_get(str(cache), "kostka", _KEY_1_1)["value"]) == ONE
 
 
 def test_cache_round_trip(runner, tmp_path, monkeypatch):
@@ -247,6 +246,19 @@ def test_scan_rejects_a_negative_max_len(runner):
     assert r.exit_code == 2
     assert "--max-len must be nonnegative" in r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+def test_a_cache_path_that_names_a_file_is_a_usage_error(runner, tmp_path, monkeypatch):
+    # --cache <file> is refused by click; $KOSTKA_CACHE naming a file is too
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    monkeypatch.setenv("KOSTKA_CACHE", str(path))
+    for args in (["kostka", "--lambda", "1", "--mu", "1"], ["scan", "--max-weight", "1"]):
+        r = runner.invoke(cli.main, args)
+        assert r.exit_code == 2, r.output
+        assert "KOSTKA_CACHE=%s is not a directory" % path in r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert path.read_text() == ""
 
 
 def test_scan_rejects_bad_jobs(runner):

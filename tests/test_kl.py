@@ -4,12 +4,12 @@ import pytest
 
 import oracles
 import qtkostka
-from qtkostka import kl as kl_module, parabolic
+from qtkostka import kl as kl_module, msym_expand, parabolic
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from qtkostka.bruhat import min_rep_length, preceq
 from qtkostka.compositions import canonicalize, compositions_of, pad, partition_length
 from qtkostka.kl import kl_element, skew_positive_part
-from qtkostka.kostka import msym_basis, msym_expand
+from qtkostka.kostka import msym_basis
 from qtkostka.parabolic import ModuleElement, bar_d, d_basis
 
 T = CoeffPoly.t_power(1)

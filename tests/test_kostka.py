@@ -12,11 +12,13 @@ import pytest
 
 import qtkostka
 
+from qtkostka import MSymmetryViolation, msym_expand
 from qtkostka.cache import cache_path, cache_put
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, VINV, ZERO
 from qtkostka.compositions import (
     MarkedDiagram,
     all_markings,
+    canonicalize,
     compositions_of,
     default_rank,
     format_marked,
@@ -25,7 +27,6 @@ from qtkostka.compositions import (
 )
 from qtkostka.kl import kl_element
 from qtkostka.kostka import (
-    MSymmetryViolation,
     charge_oracle,
     kostka,
     kostka_q0_check,
@@ -33,7 +34,6 @@ from qtkostka.kostka import (
     marked_decomposition_check,
     marked_kostka,
     msym_basis,
-    msym_expand,
     pair,
     pair_truncated,
     psi_e_polynomial,
@@ -81,14 +81,19 @@ def test_msym_expand_round_trip():
             assert total == el, (label, m)
 
 
-def test_msym_basis_passes_the_block_check():
-    # the premise of msym_expand's proof: inv(sorting_data) drops by one at
-    # every tail ascent, so the orbit sum is an H_i = v^-1 eigenvector
+def test_msym_basis_is_an_hi_eigenvector():
+    # the premise of msym_expand's proof, checked against the generator:
+    # every orbit sum M^{tau|m} has H_i = v^-1 for every i > m
+    count = 0
     for n in range(2, 7):
         for d in range(5):
             for tau in compositions_of(d, n):
                 for m in range(partition_length(tau), n + 1):
-                    assert msym_basis(tau, m, n).msym_read(m)[0] is None, (tau, m, n)
+                    x = msym_basis(tau, m, n)
+                    for i in range(m + 1, n):
+                        assert x.hi(i) == x.scale(VINV), (tau, m, n, i)
+                        count += 1
+    assert count > 1000
 
 
 def test_msym_expand_rejects_asymmetric():
@@ -117,9 +122,8 @@ def test_msym_expand_catches_every_orbit_corruption():
 
 
 def test_msym_expand_needs_the_ascent_partner_of_every_descent():
-    # the block check compares coefficients at ascent keys only; a descent
-    # key whose ascent partner is missing is caught by the presence check
-    # alone when i is the only index above m (m = n - 2)
+    # delete the ascent partner of a descent key: it is never a
+    # representative, so the walk of its orbit finds it missing
     count = 0
     for label, el, least in _msym_elements(3):
         n = el.rank
@@ -135,6 +139,37 @@ def test_msym_expand_needs_the_ascent_partner_of_every_descent():
                         msym_expand(ModuleElement(n, terms), m)
                     count += 1
     assert count >= 1000
+
+
+def test_msym_expand_needs_every_key_on_a_walked_orbit():
+    # a key whose representative is not a term is reached by no orbit walk:
+    # (a) a stray key planted on an absent orbit, (b) a deleted representative
+    count = strays = 0
+    for label, el, least in _msym_elements(3):
+        n = el.rank
+        d = sum(next(iter(el.terms)))
+        for m in range(least, n):
+            reps = msym_expand(el, m).terms
+            stray = next((kappa for kappa in compositions_of(d, n)
+                          if _rep(kappa, m, n) not in (kappa, *el.terms)), None)
+            cases = [] if stray is None else [({**el.terms, stray: ONE}, stray)]
+            for tau in reps:
+                if len(set(pad(tau, n)[m:])) > 1:
+                    cases.append(({k: c for k, c in el.terms.items() if k != tau}, None))
+            for terms, key in cases:
+                with pytest.raises(MSymmetryViolation,
+                                   match="lies on no orbit .*; not %d-symmetric" % m) as exc:
+                    msym_expand(ModuleElement(n, terms), m)
+                assert key is None or repr(key) in str(exc.value)
+                count += 1
+                strays += key is not None
+    assert strays >= 300 and count >= 2000
+
+
+def _rep(kappa, m, n):
+    """The representative of kappa's orbit: its padded tail past m sorted down."""
+    p = pad(kappa, n)
+    return canonicalize(p[:m] + tuple(sorted(p[m:], reverse=True)))
 
 
 def test_pair_needs_divisible_coefficients():

@@ -14,6 +14,14 @@ exponent pair from one shared table (_PAIRS), so equal pairs in the
 coefficients it builds are one tuple object.  Keys are therefore shared
 between polynomials, and the dicts behind them may be memoized: no caller may
 mutate a terms dict it did not build.
+
+What the memos keep is hash-consed: at each memo boundary (the letters'
+orbit forms, the certified orbit-image rows, the quotients, the orbit rows
+and the KL coefficients) a coefficient is replaced by interned(c), the one
+object of its value, and the shifted copies of the orbit expansions come
+from the shift memo shifted(p, e).  One CoeffPoly is therefore held by many
+memos at once, so nothing may mutate a CoeffPoly or its terms once it is
+built: a change would reach every holder.
 """
 
 from __future__ import annotations
@@ -405,6 +413,28 @@ def add_product(terms, p, r, k=1, a=0, b=0):
                 terms[pairs.setdefault(e, e)] = x * y
             else:
                 terms[e] = s + x * y
+
+
+# one CoeffPoly per value among the coefficients the memos keep
+_INTERNED = table()
+# (id(p), e) -> (p, interned(p v^e)); the entry keeps p, so its id is not reused
+_SHIFTS = table()
+
+
+def interned(c):
+    """The one CoeffPoly equal to c that the memos keep; c itself if its value is new."""
+    return _INTERNED.setdefault(c, c)
+
+
+def shifted(p, e):
+    """interned(p v^e), memoized per (p, e); p itself at e = 0."""
+    if not e:
+        return p
+    key = (id(p), e)
+    hit = _SHIFTS.get(key)
+    if hit is None:
+        hit = _SHIFTS[key] = (p, interned(p.shift(v_exp=e)))
+    return hit[1]
 
 
 def finish(terms):

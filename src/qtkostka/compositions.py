@@ -18,6 +18,11 @@ def canonicalize(raw):
     parts = tuple(int(x) for x in raw)
     if any(x < 0 for x in parts):
         raise ValueError("composition parts must be naturals")
+    return _trim(parts)
+
+
+def _trim(parts):
+    """A tuple of naturals without its trailing zeros, unchecked."""
     end = len(parts)
     while end and parts[end - 1] == 0:
         end -= 1
@@ -51,7 +56,7 @@ def pad(lam, n):
 def swap(lam, i):
     """lambda with its entries i and i+1 (1-based) exchanged, trimmed."""
     p = pad(lam, max(len(lam), i + 1))
-    return canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
+    return _trim(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -155,9 +160,9 @@ def lambda_star(lam):
 
 
 def omega_star(lam, n):
-    """(lambda_2, ..., lambda_n, lambda_1 + 1) at rank n."""
+    """(lambda_2, ..., lambda_n, lambda_1 + 1) at rank n; its last entry is >= 1."""
     lam = pad(lam, n)
-    return canonicalize(lam[1:] + (lam[0] + 1,))
+    return lam[1:] + (lam[0] + 1,)
 
 
 @dataclass(frozen=True)
@@ -250,15 +255,23 @@ def orbit(tau, m, n, k=None):
     """Keys of the orbit of tau under the permutations of the tail past m.
 
     tau is a representative for m: its padded tail p[m:] is weakly
-    decreasing.  Yields (kappa, inv(kappa) - inv(tau)), inv from
+    decreasing.  Returns the pairs (kappa, inv(kappa) - inv(tau)), inv from
     sorting_data, for the keys kappa of the orbit whose tail past m + k is
     weakly decreasing, that is, the orbit's representatives for m + k.  The
-    default k = n - m yields the whole orbit.
+    default k = n - m gives the whole orbit.  The tuple is memoized per
+    (tau, m, n, k), so every expansion, certificate and orbit row that walks
+    one orbit walks one tuple and holds its key tuples, not copies.
     """
+    return _orbit(tau, m, n, n - m if k is None else k)
+
+
+@memoized
+def _orbit(tau, m, n, k):
     p = pad(tau, n)
     head, tail = p[:m], p[m:]
-    for t, shift in _tail_orbit(tail, len(tail) if k is None else k):
-        yield (head + t if t else canonicalize(head)), shift
+    return tuple(
+        (head + t if t else _trim(head), shift) for t, shift in _tail_orbit(tail, k)
+    )
 
 
 @memoized
@@ -271,7 +284,7 @@ def _tail_orbit(tail, k):
     and those from the head into the tail count alike, and the decreasing
     tail of the representative has no ascending pair: shift, the difference
     of inv against the representative, is the number of strict ascending
-    pairs in the arrangement.  Memoized per tail, not per key.
+    pairs in the arrangement.  Memoized per tail; orbit memoizes the keys.
     """
     out = []
     for mid in arrangements(tail, k):
@@ -280,7 +293,7 @@ def _tail_orbit(tail, k):
             rest.remove(x)
         t = mid + tuple(sorted(rest, reverse=True))
         shift = sum(1 for i, a in enumerate(t) for b in t[i + 1 :] if a < b)
-        out.append((canonicalize(t), shift))
+        out.append((_trim(t), shift))
     return tuple(out)
 
 

@@ -69,7 +69,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bruhat import min_rep_length
-from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, add_product, finish
+from .coeffs import (
+    CoeffPoly,
+    ConsistencyError,
+    NonExactDivision,
+    ONE,
+    add_product,
+    finish,
+    interned,
+)
 from .compositions import canonicalize, pad, partition_length
 from .memo import memoized
 from .parabolic import OrbitElement, d_basis
@@ -126,7 +134,7 @@ def _s_factor(tau, m, n):
 
 @memoized
 def _orbit_row(tau, m, n):
-    """R[tau], the orbit row d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m}."""
+    """R[tau], the orbit row d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m}, interned."""
     p = pad(tau, n)
     row = d_basis(canonicalize(p[:m] + tuple(sorted(p[m:]))), n)
     sums = {}
@@ -141,7 +149,7 @@ def _orbit_row(tau, m, n):
         if not a:
             continue
         try:
-            out[sigma] = (_s_factor(sigma, m, n) * a).exact_div(s_bar)
+            out[sigma] = interned((_s_factor(sigma, m, n) * a).exact_div(s_bar))
         except NonExactDivision:
             raise ConsistencyError(
                 "bar(s_%r) does not divide the orbit row of %r at %r at rank %d"
@@ -192,7 +200,7 @@ def _quotient_solve(lam, n):
                 raise ConsistencyError(
                     "KL coefficient of %r in M^_%r leaves vZ[v]: %r" % (sigma, lam, p)
                 )
-        coeffs[sigma] = p
+        coeffs[sigma] = p = interned(p)
         pb = p.bar()
         for nu, r in rows[sigma].items():
             if nu != sigma:

@@ -24,7 +24,17 @@ import time
 from dataclasses import dataclass
 
 from .cache import cache_has, cached
-from .coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, ZERO, add_product, finish
+from .coeffs import (
+    CoeffPoly,
+    ConsistencyError,
+    NonExactDivision,
+    ONE,
+    V,
+    ZERO,
+    add_product,
+    finish,
+    interned,
+)
 from .compositions import (
     MarkedDiagram,
     all_markings,
@@ -74,10 +84,12 @@ def quotients(y):
     """y with each coefficient p_tau divided by b(tau[m:]), the pairing's factor.
 
     Every division must be exact, else NonExactDivision: y was not a
-    genuinely stable-paired object.
+    genuinely stable-paired object.  The quotients are interned, since the
+    memo _quotients keeps them.
     """
     return OrbitElement(y.rank, y.m, {
-        tau: c.exact_div(CoeffPoly.b_partition(tau[y.m :])) for tau, c in y.terms.items()
+        tau: interned(c.exact_div(CoeffPoly.b_partition(tau[y.m :])))
+        for tau, c in y.terms.items()
     })
 
 

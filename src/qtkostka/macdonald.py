@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO
+from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO, interned
 from .compositions import (
     all_markings,
     arm,
@@ -94,7 +94,7 @@ def marked_word(d):
 def word_orbit(word, n):
     """The steps (c, letters) of word applied to M^0 at rank n, first step first."""
     if not word:
-        return OrbitElement(n, 0, {(): ONE})
+        return OrbitElement(n, 0, {(): interned(ONE)})
     return word_orbit(word[:-1], n).letters(*word[-1])
 
 

@@ -71,7 +71,7 @@ import functools
 from dataclasses import dataclass
 from operator import ge
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, add_product, finish
+from .coeffs import CoeffPoly, ConsistencyError, ONE, add_product, finish, interned, shifted
 from .compositions import (
     canonicalize,
     format_composition,
@@ -82,7 +82,7 @@ from .compositions import (
     swap,
 )
 from .memo import memoized, table
-from .sparse import SparseVector
+from .sparse import SparseVector, add_term
 
 # (lambda, i) -> (case, s_i lambda) with case = sign(lambda_{i+1} - lambda_i);
 # (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
@@ -98,15 +98,6 @@ def _swap_entry(lam, i):
     if a == b:
         return (0, lam)
     return ((1 if a < b else -1), swap(lam, i))
-
-
-def _add_term(acc, key, c):
-    s = acc.get(key)
-    s = c if s is None else s + c
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
 
 
 class ModuleElement(SparseVector):
@@ -156,11 +147,11 @@ class ModuleElement(SparseVector):
                 hit = memo[key] = _swap_entry(lam, i)
             case, swapped = hit
             if case == 0:
-                _add_term(acc, lam, c.shift(v_exp=sign))
+                add_term(acc, lam, c.shift(v_exp=sign))
             else:
-                _add_term(acc, swapped, c)
+                add_term(acc, swapped, c)
                 if case == sign:
-                    _add_term(acc, lam, c.echo(sign))
+                    add_term(acc, lam, c.echo(sign))
         return self._raw(acc)
 
     def omega(self):
@@ -208,20 +199,19 @@ class OrbitElement:
     terms: dict
 
     def expansion(self, m):
-        """The same element at the symmetry index m >= self.m; self at m = self.m."""
+        """The same element at the symmetry index m >= self.m; self at m = self.m.
+
+        The shifted copies come from the shift memo (coeffs.shifted), so
+        equal shifts are one object across every expansion.
+        """
         if not self.m <= m <= self.rank:
             raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
         if m == self.m:
             return self  # instances are immutable
         out = {}
         for tau, p in self.terms.items():
-            # keys with one offset share one coefficient object
-            shifted = {}
             for key, e in orbit(tau, self.m, self.rank, m - self.m):
-                c = shifted.get(e)
-                if c is None:
-                    c = shifted[e] = p.shift(v_exp=e)
-                out[key] = c
+                out[key] = shifted(p, e)
         return OrbitElement(self.rank, m, out)
 
     @functools.cached_property
@@ -234,7 +224,8 @@ class OrbitElement:
 
         The image is max(m, c)-symmetric; it is sum_tau p_tau times the
         image of M^{tau|m}, one coeffs.add_product per entry (tau, sigma) of
-        the certified orbit rows (_orbit_image).
+        the certified orbit rows (_orbit_image).  Its coefficients are
+        interned: word_orbit and _d_row keep them.
         """
         n = self.rank
         if not 1 <= c <= n:
@@ -247,7 +238,8 @@ class OrbitElement:
                     if t is None:
                         t = acc[sigma] = {}
                     add_product(t, p, r, k, a, b)
-        return OrbitElement(n, max(self.m, c), _finish_all(acc))
+        terms = {sigma: interned(r) for sigma, r in _finish_all(acc).items()}
+        return OrbitElement(n, max(self.m, c), terms)
 
 
 class MSymmetryViolation(ConsistencyError):
@@ -322,7 +314,8 @@ def _finish_all(acc):
 def _orbit_image(tau, m, c, n, barred):
     """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
 
-    Returns its coefficients at the representatives for max(m, c).  The
+    Returns its coefficients at the representatives for max(m, c),
+    interned, since the memo keeps them.  The
     image is sum_kappa v^e Phi_c(M^kappa) over the keys kappa of the orbit
     with offsets e; Phi_c(M^kappa) is the prefix p[:c-1] of p =
     omega*(kappa) followed by the row of the word p[c-1:] (_letter_row),
@@ -343,10 +336,11 @@ def _orbit_image(tau, m, c, n, barred):
         if c_nu:
             terms[nu] = c_nu
     try:
-        return msym_expand(ModuleElement.zero(n)._raw(terms), max(m, c)).terms
+        reps = msym_expand(ModuleElement.zero(n)._raw(terms), max(m, c)).terms
     except MSymmetryViolation as exc:
         raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
                                  % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
+    return {sigma: interned(r) for sigma, r in reps.items()}
 
 
 @memoized

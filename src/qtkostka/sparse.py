@@ -12,6 +12,16 @@ from .coeffs import CoeffPoly, MINUS_ONE, ONE
 from .compositions import canonicalize, format_composition, pad, parse_composition
 
 
+def add_term(acc, key, c):
+    """acc[key] += c in a dict of coefficients, a zero sum dropped."""
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
 class SparseVector:
     """A finite CoeffPoly-combination of basis elements at rank n."""
 
@@ -20,17 +30,22 @@ class SparseVector:
     JSON_KEY = None  # name of the key field in to_json
 
     def __init__(self, rank, terms=None):
+        """terms maps raw keys to coefficients; raw keys that trim alike are summed."""
         if rank < 2:
             raise ValueError("rank must be at least 2")
         self.rank = rank
         self.terms = {}
         if terms:
-            for key, c in terms.items():
-                if c:
-                    key = canonicalize(key)
-                    if len(key) > rank:
-                        raise ValueError("key %r too long for rank %d" % (key, rank))
-                    self.terms[key] = c
+            self._collect(terms.items())
+
+    def _collect(self, pairs):
+        """Add each (raw key, coefficient) of pairs into terms, keys validated."""
+        for key, c in pairs:
+            if c:
+                key = canonicalize(key)
+                if len(key) > self.rank:
+                    raise ValueError("key %r too long for rank %d" % (key, self.rank))
+                add_term(self.terms, key, c)
 
     @classmethod
     def zero(cls, rank):
@@ -111,13 +126,12 @@ class SparseVector:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["rank"],
-            {
-                parse_composition(t[cls.JSON_KEY]): CoeffPoly.from_json(t["coef"])
-                for t in data["terms"]
-            },
+        out = cls(data["rank"])
+        out._collect(
+            (parse_composition(t[cls.JSON_KEY]), CoeffPoly.from_json(t["coef"]))
+            for t in data["terms"]
         )
+        return out
 
     def basis_name(self, key):
         """The printed name of the basis element over a nonempty key."""

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtkostka import clear_caches
 from qtkostka.coeffs import (
     _PAIRS,
+    _SHIFTS,
     CoeffPoly,
     NonExactDivision,
     ONE,
@@ -14,6 +16,8 @@ from qtkostka.coeffs import (
     ZERO,
     add_product,
     finish,
+    interned,
+    shifted,
 )
 
 T = CoeffPoly.t_power(1)
@@ -199,3 +203,32 @@ def test_shift_takes_its_exponent_pairs_from_the_shared_table(p, a, b):
         assert all(_PAIRS[e] is e for e in got.terms)
     else:
         assert got is p
+
+
+def test_the_shift_memo_keeps_its_coefficient_and_is_one_object_per_value():
+    clear_caches()
+    p = CoeffPoly({(0, 0): 1, (1, 1): 2})
+    s = shifted(p, 1)
+    assert s == p.shift(v_exp=1) and shifted(p, 1) is s and shifted(p, 0) is p
+    # an equal coefficient, another object, gets the one shifted object
+    assert shifted(CoeffPoly(p.terms), 1) is s is interned(p.shift(v_exp=1))
+    pid = id(p)
+    del p
+    # the entry keeps p, so its id stays taken while the entry lives
+    assert _SHIFTS[pid, 1][0].terms == {(0, 0): 1, (1, 1): 2}
+    clear_caches()
+    assert not _SHIFTS
+
+
+def test_a_coefficient_built_after_a_clear_never_receives_a_stale_shift():
+    clear_caches()
+    ids = set()
+    for k in range(40):
+        p = CoeffPoly({(0, k): 1, (2, 0): -1})
+        ids.add(id(p))
+        assert shifted(p, 3).terms == {(3, k): 1, (5, 0): -1}
+        # the clear frees p's entry; the next p may take its id
+        clear_caches()
+        del p
+    # CPython hands the freed ids out again, so the ids did repeat
+    assert len(ids) < 40

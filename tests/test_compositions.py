@@ -199,6 +199,28 @@ def test_orbit_shift_is_the_sorting_data_difference(raw, m, extra):
             assert key == canonicalize(key)
 
 
+def test_orbit_is_one_memoized_tuple_per_key():
+    walk = orbit((2, 1), 1, 4)
+    assert isinstance(walk, tuple)
+    assert orbit((2, 1), 1, 4) is walk and orbit((2, 1), 1, 4, 3) is walk
+    assert orbit((2, 1), 1, 4, 1) is orbit((2, 1), 1, 4, 1) is not walk
+
+
+def test_swap_and_omega_star_trim_like_canonicalize():
+    # both are built from a valid composition, so trimming is all they need
+    count = 0
+    for n in range(2, 7):
+        for d in range(5):
+            for lam in compositions_of(d, n):
+                p = pad(lam, n)
+                assert omega_star(lam, n) == canonicalize(p[1:] + (p[0] + 1,)), (lam, n)
+                for i in range(1, n):
+                    want = canonicalize(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
+                    assert swap(lam, i) == want, (lam, i)
+                    count += 1
+    assert count > 1000
+
+
 def test_compositions_of():
     assert compositions_of(0, 3) == [()]
     assert set(compositions_of(2, 2)) == {(2,), (1, 1), (0, 2)}

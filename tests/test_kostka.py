@@ -177,7 +177,9 @@ def test_pair_needs_divisible_coefficients():
     x = OrbitElement(3, 0, {(1, 1): ONE})
     with pytest.raises(NonExactDivision):
         quotients(x)
-    # a b = 1 coefficient (empty tail) is its own quotient
+    # a b = 1 coefficient (empty tail) is its own quotient; with the intern
+    # table empty, Q is the one object of its value
+    qtkostka.clear_caches()
     y = OrbitElement(3, 1, {(1,): Q})
     assert quotients(y).terms[(1,)] is Q
 

@@ -13,8 +13,14 @@ from qtkostka import (
     msym_expand,
 )
 from qtkostka import parabolic
-from qtkostka.coeffs import _PAIRS, CoeffPoly, ConsistencyError, ONE, V
-from qtkostka.compositions import MarkedDiagram, all_markings, compositions_of, lambda_star
+from qtkostka.coeffs import _INTERNED, _PAIRS, _SHIFTS, CoeffPoly, ConsistencyError, ONE, V
+from qtkostka.compositions import (
+    MarkedDiagram,
+    _orbit,
+    all_markings,
+    compositions_of,
+    lambda_star,
+)
 from qtkostka.kostka import psi_e_polynomial
 from qtkostka.macdonald import (
     duality_check,
@@ -85,6 +91,31 @@ def test_coefficients_of_one_e_tilde_share_their_exponent_pairs():
     assert shifted > 100
     clear_caches()
     assert not _PAIRS
+
+
+def test_equal_coefficients_of_the_memoized_forms_are_one_object():
+    # E~ and every marked E~ of weight <= 3 at two ranks, in orbit form and
+    # in full: the letters intern, and the expansion shifts through the memo
+    clear_caches()
+    held = []
+    for extra in (1, 3):
+        for _, orbit_form, _, _ in _sweep(3, extra):
+            x = orbit_form()
+            held.extend(x.terms.values())
+            held.extend(x.element.terms.values())
+    first = {}
+    for c in held:
+        assert first.setdefault(c, c) is c, c
+    assert len(held) > 5 * len(first)
+    clear_caches()
+
+
+def test_clear_caches_empties_the_intern_shift_and_orbit_memos():
+    clear_caches()
+    e_orbit((2, 0, 1), 5).element
+    assert _INTERNED and _SHIFTS and _orbit.cache_info().currsize
+    clear_caches()
+    assert not _INTERNED and not _SHIFTS and not _orbit.cache_info().currsize
 
 
 def _sweep(max_weight, extra):

@@ -252,6 +252,15 @@ def test_json_round_trip():
     assert data["rank"] == 4
 
 
+def test_raw_keys_that_trim_alike_are_summed():
+    # (1, 0) and (1,) are one key: their coefficients add, and a zero sum drops
+    assert ModuleElement(3, {(1, 0): ONE, (1,): ONE}).terms == {(1,): ONE + ONE}
+    assert ModuleElement(3, {(1, 0): ONE, (1,): ZERO - ONE, (2,): V}).terms == {(2,): V}
+    data = {"rank": 3, "terms": [{"lambda": "1,0", "coef": V.to_json()},
+                                 {"lambda": "1", "coef": ONE.to_json()}]}
+    assert ModuleElement.from_json(data).terms == {(1,): V + ONE}
+
+
 def test_pretty():
     x = ModuleElement.basis((1,), 2) + ModuleElement.basis((0, 1), 2).scale(V)
     assert x.pretty() == "M^{(1)} + v*M^{(0,1)}"

@@ -130,6 +130,14 @@ def test_json_round_trip():
     assert ZPoly.from_json(f.to_json()) == f
 
 
+def test_raw_keys_that_trim_alike_are_summed():
+    assert ZPoly(3, {(0, 1, 0): V, (0, 1): ONE}).terms == {(0, 1): V + ONE}
+    assert ZPoly(3, {(2, 0): V, (2,): CoeffPoly.integer(0) - V}).terms == {}
+    data = {"rank": 3, "terms": [{"z": "0,1,0", "coef": ONE.to_json()},
+                                 {"z": "0,1", "coef": ONE.to_json()}]}
+    assert ZPoly.from_json(data).terms == {(0, 1): CoeffPoly.integer(2)}
+
+
 def test_pretty():
     f = ZPoly.monomial((1,), 2, ONE - T * Q) + ZPoly.monomial((0, 1), 2, ONE - T)
     assert f.pretty() == "(1 - t*q)*z_1 + (1 - t)*z_2"

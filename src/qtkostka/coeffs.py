@@ -333,7 +333,12 @@ class CoeffPoly:
 
     @staticmethod
     def from_json(data):
-        return CoeffPoly({(int(t["v"]), int(t["q"])): int(t["c"]) for t in data})
+        """The inverse of to_json; entries with one (v, q) are summed, a zero sum dropped."""
+        terms = {}
+        for t in data:
+            e = (int(t["v"]), int(t["q"]))
+            terms[e] = terms.get(e, 0) + int(t["c"])
+        return CoeffPoly(terms)
 
     # -- printing ---------------------------------------------------------------
 

@@ -50,9 +50,9 @@ from .compositions import (
     weight,
 )
 from .kl import kl_element
-from .macdonald import e_orbit, e_word, marked_word, word_orbit
+from .macdonald import e_orbit, e_word, marked_word
 from .memo import memoized
-from .parabolic import OrbitElement, msym_expand
+from .parabolic import OrbitElement, msym_expand, word_orbit
 from .polyrep import ZPoly, to_module
 
 
@@ -126,7 +126,7 @@ def _kl_expansion(lam, m, n):
 
 @memoized
 def _quotients(word, m, n):
-    """quotients of the letter word's element (macdonald.word_orbit) read at m."""
+    """quotients of the letter word's element (parabolic.word_orbit) read at m."""
     return quotients(word_orbit(word, n).expansion(m))
 
 

@@ -12,8 +12,9 @@ polynomial J_mu, all used as cross-checks downstream.
 
 Words in orbit form.  E~ (the star chain, e_word) and every marked E~
 (the box enumeration, marked_word) are words of steps (c, letters) on M^0,
-built by the one memoized word_orbit, one OrbitElement.letters call per
-step, so words that share a prefix share its element.  The result has a
+built by the one memoized parabolic.word_orbit, which also builds the
+involution rows, one OrbitElement.letters call per step, so words that
+share a prefix share its element.  The result has a
 symmetry index m and one coefficient p_tau per representative tau of the
 orbit basis M^{tau|m}, the basis the pairing reads.  A letter Phi_c maps an
 m'-symmetric element to a max(m', c)-symmetric one and each orbit row it
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO, interned
+from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO
 from .compositions import (
     all_markings,
     arm,
@@ -44,8 +45,14 @@ from .compositions import (
     swap,
     weight,
 )
-from .memo import memoized
-from .parabolic import ModuleElement, MSymmetryViolation, OrbitElement, bar_d, msym_expand
+from .parabolic import (
+    ModuleElement,
+    MSymmetryViolation,
+    OrbitElement,
+    bar_d,
+    msym_expand,
+    word_orbit,
+)
 from .polyrep import from_module
 
 # the letters (barred, k, a, b), each k v^a q^b times Phi_c or Phibar_c
@@ -88,14 +95,6 @@ def marked_word(d):
     """
     order, cols = box_enumeration(canonicalize(d.shape))
     return tuple((c, _MINUS_PHIBAR if s in d.marked else _PHI) for s, c in zip(order, cols))
-
-
-@memoized
-def word_orbit(word, n):
-    """The steps (c, letters) of word applied to M^0 at rank n, first step first."""
-    if not word:
-        return OrbitElement(n, 0, {(): interned(ONE)})
-    return word_orbit(word[:-1], n).letters(*word[-1])
 
 
 def e_orbit(lam, n):

@@ -2,11 +2,10 @@
 
 Every module-level memo of the package is made here, so one call empties
 them all: a memoized function is an unbounded lru_cache, and a table is a
-plain dict.  Tables remain only for the hot-loop memos: the swaps and
-rotations of parabolic.py, and in coeffs.py the exponent-pair table, the
-intern table (one CoeffPoly per value the memos keep) and the shift memo
-of the orbit expansions.  Both kinds register how to clear themselves;
-clear_caches walks that list.
+plain dict.  Tables remain only for the hot-loop memos of coeffs.py: the
+exponent-pair table, the intern table (one CoeffPoly per value the memos
+keep) and the shift memo of the orbit expansions.  Both kinds register how
+to clear themselves; clear_caches walks that list.
 """
 
 from __future__ import annotations

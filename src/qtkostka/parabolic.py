@@ -57,11 +57,17 @@ passes msym_expand at m by definition, and it is m''-symmetric for any m''
 every key is its own orbit and each image row is the letter on one basis
 element.
 
+One word recursion.  A word is a tuple of steps (c, letters) applied to M^0
+first step first; word_orbit builds it once per (word, n) on the memoized
+orbit form of its prefix, one letters call per step, so words that share a
+prefix share its element.  E~ and every marked E~ (macdonald.py) and the
+involution rows are such words.
+
 The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
-over the column word of lambda.  Its rows are built once per (rank, lambda)
-as ModuleElements by d_basis: one Phibar letter at m = n for a weakly
-increasing key, one inverse generator for every other.
+over the star chain of lambda (d_word; proof at d_basis).  Its rows are the
+expansions at m = n of those words, kept once per (rank, lambda) as
+ModuleElements by d_basis, their coefficients interned by the letters.
 Every memo here comes from memo.py, which also clears them.
 """
 
@@ -78,26 +84,13 @@ from .compositions import (
     lambda_star,
     omega_star,
     orbit,
-    pad,
     swap,
 )
-from .memo import memoized, table
+from .memo import memoized
 from .sparse import SparseVector, add_term
 
-# (lambda, i) -> (case, s_i lambda) with case = sign(lambda_{i+1} - lambda_i);
-# (lambda, n) -> omega*(lambda).  Pure key surgery, memoized for the hot loops.
-_SWAP_MEMO = table()
-_OMEGA_MEMO = table()
 # the one letter Phibar of the involution rows, as OrbitElement.letters takes it
 _PHIBAR = ((True, 1, 0, 0),)
-
-
-def _swap_entry(lam, i):
-    a = lam[i - 1] if i - 1 < len(lam) else 0
-    b = lam[i] if i < len(lam) else 0
-    if a == b:
-        return (0, lam)
-    return ((1 if a < b else -1), swap(lam, i))
 
 
 class ModuleElement(SparseVector):
@@ -139,33 +132,21 @@ class ModuleElement(SparseVector):
         if not 1 <= i <= n - 1:
             raise ValueError("index %d out of range for rank %d" % (i, n))
         acc = {}
-        memo = _SWAP_MEMO
         for lam, c in self.terms.items():
-            key = (lam, i)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = _swap_entry(lam, i)
-            case, swapped = hit
-            if case == 0:
+            a = lam[i - 1] if i - 1 < len(lam) else 0
+            b = lam[i] if i < len(lam) else 0
+            if a == b:
                 add_term(acc, lam, c.shift(v_exp=sign))
             else:
-                add_term(acc, swapped, c)
-                if case == sign:
+                add_term(acc, swap(lam, i), c)
+                if (b - a) * sign > 0:
                     add_term(acc, lam, c.echo(sign))
         return self._raw(acc)
 
     def omega(self):
         """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
         n = self.rank
-        memo = _OMEGA_MEMO
-        acc = {}
-        for lam, c in self.terms.items():
-            key = (lam, n)
-            img = memo.get(key)
-            if img is None:
-                img = memo[key] = omega_star(lam, n)
-            acc[img] = c
-        return self._raw(acc)
+        return self._raw({omega_star(lam, n): c for lam, c in self.terms.items()})
 
     def z_op(self, i):
         """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
@@ -240,6 +221,14 @@ class OrbitElement:
                     add_product(t, p, r, k, a, b)
         terms = {sigma: interned(r) for sigma, r in _finish_all(acc).items()}
         return OrbitElement(n, max(self.m, c), terms)
+
+
+@memoized
+def word_orbit(word, n):
+    """The steps (c, letters) of word applied to M^0 at rank n, first step first."""
+    if not word:
+        return OrbitElement(n, 0, {(): interned(ONE)})
+    return word_orbit(word[:-1], n).letters(*word[-1])
 
 
 class MSymmetryViolation(ConsistencyError):
@@ -390,16 +379,25 @@ def _psi_monomial(lam, n):
 
 # -- the bar involution -----------------------------------------------------------
 
-def d_basis(lam, n):
-    """d(M^lambda), built once per (rank, lambda).
+def d_word(lam):
+    """The star chain of d(M^lambda) as a word: one Phibar step per box."""
+    if not lam:
+        return ()
+    star, m, _ = lambda_star(lam)
+    return d_word(star) + ((m, _PHIBAR),)
 
-    For an ascent kappa_i < kappa_{i+1} the standard basis transforms without
-    echo, M^{s_i kappa} = H_i M^kappa, so by semilinearity the row of s_i kappa
-    is H_i^{-1} applied to the row of kappa.  Rows therefore propagate by
-    single inverse generators from the weakly increasing arrangement of the
-    entries, which is the only key still built from its column word: its row
-    is Phibar_m applied to the row of lambda*, m = l(lambda), the orbit
-    letter at symmetry index n, where every key is its own representative.
+
+def d_basis(lam, n):
+    """d(M^lambda), built once per (rank, lambda) as the word d_word(lambda).
+
+    M^lambda = Phi_m M^{lambda*} with m = l(lambda): omega takes the padded
+    lambda* = (lambda_m - 1, lambda_1, ..., lambda_{m-1}, 0, ..., 0) to
+    (lambda_1, ..., lambda_{m-1}, 0, ..., 0, lambda_m), with lambda_m at
+    position n, and H_{n-1}, ..., H_m carry it back to position m one plain
+    swap at a time, each on an ascent 0 < lambda_m.  d is semilinear with
+    bar(H_i) = H_i^{-1} and bar-invariant omega, so d(M^lambda) =
+    Phibar_m d(M^{lambda*}), and down the star chain to d(M^0) = M^0 the row
+    is the Phibar word on M^0, built by word_orbit and read at m = n.
     """
     lam = canonicalize(lam)
     if len(lam) > n:
@@ -409,16 +407,8 @@ def d_basis(lam, n):
 
 @memoized
 def _d_row(lam, n):
-    """The row of d_basis: hi_inv at the first descent, else Phibar_m on lambda*."""
-    if not lam:
-        return ModuleElement.basis((), n)
-    p = pad(lam, n)
-    i = next((k + 1 for k in range(n - 1) if p[k] > p[k + 1]), None)
-    if i is None:
-        star, m, _ = lambda_star(lam)
-        image = OrbitElement(n, n, _d_row(star, n).terms).letters(m, _PHIBAR)
-        return ModuleElement.zero(n)._raw(image.terms)
-    return _d_row(swap(lam, i), n).hi_inv(i)
+    """The row of d_basis: the expansion at m = n of the word's orbit form."""
+    return ModuleElement.zero(n)._raw(word_orbit(d_word(lam), n).expansion(n).terms)
 
 
 def bar_d(x):

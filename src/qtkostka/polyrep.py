@@ -19,7 +19,7 @@ from .coeffs import CoeffPoly, ONE, VINV, V_MINUS_VINV
 from .bruhat import min_rep_length
 from .compositions import canonicalize, pad, sorting_data, swap
 from .parabolic import ModuleElement, psi_monomial
-from .sparse import SparseVector
+from .sparse import SparseVector, add_term
 
 
 class ZPoly(SparseVector):
@@ -102,20 +102,9 @@ def _div_by_zi_minus_zj(terms, i, n):
         if e[i - 1] == 0:
             raise ArithmeticError("division by z_%d - z_%d is not exact" % (i, i + 1))
         qe = e[: i - 1] + (e[i - 1] - 1,) + e[i:]
-        prev = quot.get(qe)
-        prev = c if prev is None else prev + c
-        if prev:
-            quot[qe] = prev
-        elif qe in quot:
-            del quot[qe]
+        add_term(quot, qe, c)
         # subtract c * z^qe * (z_i - z_{i+1}); the z_i part cancels e
-        f = qe[:i] + (qe[i] + 1,) + qe[i + 1 :]
-        s = rem.get(f)
-        s = c if s is None else s + c
-        if s:
-            rem[f] = s
-        elif f in rem:
-            del rem[f]
+        add_term(rem, qe[:i] + (qe[i] + 1,) + qe[i + 1 :], c)
     return {canonicalize(e): c for e, c in quot.items()}
 
 

@@ -254,13 +254,14 @@ def kl_solve_full(lam, n):
 def d_basis_word(lam, n):
     """d(M^lambda) straight from the Phibar word over the column word.
 
-    The last Phibar is a letter_chain over d_basis of lambda*; tests compare
-    it with d_basis, which builds only weakly increasing keys by a letter.
+    Each Phibar is a letter_chain of generator passes over the full element,
+    down the star chain to M^0; tests compare it with d_basis, which builds
+    the same word from the certified orbit letters and shares no row with it.
     """
     if not lam:
         return ModuleElement.basis((), n)
     star, m, _ = lambda_star(lam)
-    return letter_chain(d_basis(star, n), m, True)
+    return letter_chain(d_basis_word(star, n), m, True)
 
 
 def letter_chain(x, m, barred):

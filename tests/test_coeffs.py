@@ -131,6 +131,13 @@ def test_json_round_trip():
     assert CoeffPoly.from_json(ZERO.to_json()) == ZERO
 
 
+def test_json_entries_with_one_exponent_pair_are_summed():
+    one, two, minus_one = ({"v": 0, "q": 0, "c": c} for c in ("1", "2", "-1"))
+    assert CoeffPoly.from_json([one, two]).terms == {(0, 0): 3}
+    assert CoeffPoly.from_json([one, minus_one]).terms == {}
+    assert CoeffPoly.from_json([one, minus_one, V.to_json()[0]]) == V
+
+
 @given(polys, polys, polys)
 @settings(max_examples=120, deadline=None)
 def test_ring_axioms(a, b, c):

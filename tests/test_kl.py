@@ -5,7 +5,7 @@ import pytest
 import oracles
 import qtkostka
 from qtkostka import kl as kl_module, msym_expand, parabolic
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
+from qtkostka.coeffs import _INTERNED, CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from qtkostka.bruhat import min_rep_length, preceq
 from qtkostka.compositions import canonicalize, compositions_of, pad, partition_length
 from qtkostka.kl import kl_element, skew_positive_part
@@ -153,9 +153,26 @@ def test_orbit_rows_are_the_bar_involution_in_the_orbit_basis():
 
 
 def test_cold_solve_builds_few_involution_rows(cold):
-    # the full-rank solve built all 1847 rows of the support closure
-    kl_element((3, 1, 1), 10)
-    assert parabolic._d_row.cache_info().currsize < 100
+    # the full-rank solve built all 1847 rows of the support closure of
+    # (3,1,1) at rank 10; the quotient solve keeps only the rows it reads,
+    # one per orbit row, and every coefficient in them is the one interned
+    # object of its value (symmetry index m0 = 0 and 2)
+    for lam, n, count in (((3, 1, 1), 10, 4), ((2, 0, 1), 5, 9)):
+        qtkostka.clear_caches()
+        m = kl_element(lam, n).m
+        rows = parabolic._d_row.cache_info().currsize
+        assert rows == kl_module._orbit_row.cache_info().currsize == count, lam
+        closure, frontier = set(), [lam]
+        while frontier:
+            tau = frontier.pop()
+            if tau not in closure:
+                closure.add(tau)
+                frontier.extend(kl_module._orbit_row(tau, m, n))
+        assert len(closure) == rows, lam
+        for tau in closure:
+            for c in d_basis(_bottom(tau, m, n), n).terms.values():
+                assert _INTERNED.get(c) is c, (lam, tau, c)
+        assert parabolic._d_row.cache_info().currsize == rows, lam
 
 
 def _bottom(tau, m, n):

@@ -199,7 +199,7 @@ def test_d_basis_examples():
 
 
 def test_d_basis_agrees_with_word_route():
-    # ascent propagation and the full operator word must give the same rows
+    # the orbit-letter word and the generator-pass word must give the same rows
     for n in (3, 4, 5, 6):
         for d in range(5):
             for lam in compositions_of(d, n):

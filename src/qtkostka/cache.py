@@ -35,11 +35,6 @@ def cache_path(root, kind, key):
     return os.path.join(root, kind, h + ".json")
 
 
-def cache_has(root, kind, key):
-    """Whether an entry file exists for (kind, key); its content is not read."""
-    return os.path.exists(cache_path(root, kind, key))
-
-
 def cache_get(root, kind, key):
     """The stored payload, or None on miss, stale format, or corruption."""
     path = cache_path(root, kind, key)

@@ -15,13 +15,14 @@ coefficients it builds are one tuple object.  Keys are therefore shared
 between polynomials, and the dicts behind them may be memoized: no caller may
 mutate a terms dict it did not build.
 
-What the memos keep is hash-consed: at each memo boundary (the letters'
-orbit forms, the certified orbit-image rows, the quotients, the orbit rows
-and the KL coefficients) a coefficient is replaced by interned(c), the one
-object of its value, and the shifted copies of the orbit expansions come
-from the shift memo shifted(p, e).  One CoeffPoly is therefore held by many
-memos at once, so nothing may mutate a CoeffPoly or its terms once it is
-built: a change would reach every holder.
+What the memos keep is hash-consed: at each memo boundary (the letter
+rows, the letters' orbit forms, the certified orbit-image rows, the
+quotients, the b_partition factors, the orbit rows and the KL coefficients)
+a coefficient is replaced by interned(c), the one object of its value, and
+the shifted copies of the orbit expansions come from the shift memo
+shifted(p, e).  One CoeffPoly is therefore held by many memos at once, so
+nothing may mutate a CoeffPoly or its terms once it is built: a change
+would reach every holder.
 """
 
 from __future__ import annotations
@@ -78,14 +79,6 @@ class CoeffPoly:
     @staticmethod
     def q_power(k):
         return CoeffPoly({(0, k): 1})
-
-    @staticmethod
-    def v_laurent(terms):
-        """sum_e terms[e] v^e, its exponent pairs taken from the shared table."""
-        pairs = _PAIRS
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = {pairs.setdefault((e, 0), (e, 0)): c for e, c in terms.items() if c}
-        return out
 
     @staticmethod
     def t_power(k):
@@ -309,7 +302,8 @@ class CoeffPoly:
     def b_partition(pi):
         """b_pi(t) = prod_{a>=1} phi_{m_a}(t) over part multiplicities of pi.
 
-        pi must be a weakly decreasing tuple.  Memoized by pi.
+        pi must be a weakly decreasing tuple.  Memoized by pi, and
+        interned, since the memo keeps it.
         """
         if any(pi[i] < pi[i + 1] for i in range(len(pi) - 1)):
             raise ValueError("b is defined for partitions only")
@@ -320,7 +314,7 @@ class CoeffPoly:
         result = CoeffPoly.one()
         for m in mult.values():
             result = result * CoeffPoly.phi(m)
-        return result
+        return interned(result)
 
     # -- serialization ---------------------------------------------------------
 

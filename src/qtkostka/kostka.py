@@ -23,7 +23,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .cache import cache_has, cached
+from .cache import cached
 from .coeffs import (
     CoeffPoly,
     ConsistencyError,
@@ -399,19 +399,6 @@ def _scan_lambda(lam, domain, marked, max_len, cache_dir):
     return values, kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)), internal
 
 
-def _all_cached(lams, domain, marked, cache_dir):
-    """Whether cache_dir holds an entry for every main-pass value of lams.
-
-    Then the main pass only reads the cache and solves the KL windows, and
-    starting worker processes would cost more than it saves.
-    """
-    return cache_dir is not None and all(
-        cache_has(cache_dir, kind, cache_key)
-        for lam in lams
-        for kind, _, cache_key, *_ in _entries(lam, domain, marked)
-    )
-
-
 def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
          report_path=None, csv_path=None, progress=None):
     """Sweep all equal-weight pairs up to max_weight and hunt for violations.
@@ -449,7 +436,7 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
         worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
                                    max_len=max_len, cache_dir=cache_dir)
         pool = None
-        if jobs > 1 and not _all_cached(all_lams, domain, marked, cache_dir):
+        if jobs > 1:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 

@@ -200,10 +200,9 @@ def intertwiner_check(mu, i, n):
 def symmetric_j(mu, n):
     """The symmetric Macdonald polynomial J_mu in z-coordinates.
 
-    Symmetrizes E over the finite Weyl group along right weak order
-    (F(w s_i) = H_i^{-1} F(w)), clears the stabilizer factors by exact
-    division, and certifies both symmetry and the z^mu coefficient
-    prod over boxes of (1 - q^a t^{l+1}).
+    Symmetrizes E over the finite Weyl group (_weyl_sum), clears the
+    stabilizer factors by exact division, and certifies both symmetry and
+    the z^mu coefficient prod over boxes of (1 - q^a t^{l+1}).
     """
     mu = canonicalize(mu)
     if any(mu[k] < mu[k + 1] for k in range(len(mu) - 1)):
@@ -215,24 +214,7 @@ def symmetric_j(mu, n):
     e_base = e_tilde(mu_minus, n).element.scale(
         CoeffPoly.v_power(-sorting_data(mu_minus, n).inversions)
     )
-    # BFS of S_n in right weak order, summing v^{l(w)} F(w)
-    ident = tuple(range(1, n + 1))
-    level = {ident: e_base}
-    total = ModuleElement.zero(n)
-    ell = 0
-    while level:
-        for x in level.values():
-            total = total + x.scale(CoeffPoly.v_power(ell))
-        nxt = {}
-        for w, x in level.items():
-            for i in range(1, n):
-                if w[i - 1] < w[i]:
-                    ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-                    if ws not in nxt:
-                        nxt[ws] = x.hi_inv(i)
-        level = nxt
-        ell += 1
-    numer = total.scale((ONE - CoeffPoly.t_power(1)) ** n)
+    numer = _weyl_sum(e_base).scale((ONE - CoeffPoly.t_power(1)) ** n)
     denom = ONE
     for k, part in enumerate(mu, start=1):
         denom = denom * (ONE - CoeffPoly.monomial(1, 2 * (n - m + k), part))
@@ -250,3 +232,20 @@ def symmetric_j(mu, n):
     if jz.coefficient(mu) != want:
         raise ConsistencyError("J_%r has the wrong z^mu coefficient" % (mu,))
     return jz
+
+
+def _weyl_sum(x):
+    """sum over w in S_n of v^{l(w)} F(w), where F(1) = x and F(w s_i) = H_i^{-1} F(w).
+
+    S_{k+1} is the disjoint union of the cosets s_j ... s_k S_k (j = 1, ...,
+    k + 1, the empty product at j = k + 1), lengths adding, so the sum is
+    A_{n-1} ... A_1 x with A_k = sum_j v^{k-j+1} H_j^{-1} ... H_k^{-1}: one
+    pass per k, applying H_k^{-1} first.
+    """
+    for k in range(1, x.rank):
+        total = y = x
+        for j in range(k, 0, -1):
+            y = y.hi_inv(j).scale(V)
+            total = total + y
+        x = total
+    return x

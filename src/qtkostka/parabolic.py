@@ -32,11 +32,13 @@ m'-symmetric element to a max(m', c)-symmetric one.
 
 One letter.  Phi_c and Phibar_c are applied only by OrbitElement.letters.
 The image of the orbit sum M^{tau|m'} under Phi_c (or Phibar_c) is built
-once per (tau, m', c, n, barred) from the memoized q-free word rows of
-_letter_row, over every key of tau's orbit (_orbit_image); the word rows
-are built by the one generator loop.  A letter on an orbit form is then
-sum_tau p_tau image_tau, one coeffs.add_product per entry (tau, sigma) of
-the rows.
+once per (tau, m', c, n, barred) over every key of tau's orbit
+(_orbit_image), from the memoized word rows of _letter_row.  A word row is
+a dict {u: c} of q-free coefficients, built by the one generator loop and
+interned like every other row a memo keeps; _orbit_image adds each entry
+in at its orbit offset with coeffs.add_product.  A letter on an orbit form
+is then sum_tau p_tau image_tau, one coeffs.add_product per entry (tau,
+sigma) of the image rows.
 
 Certificate.  Each orbit row is certified in full before its representative
 entries are kept: msym_expand(image, max(m', c)), the one conversion from a
@@ -77,7 +79,7 @@ import functools
 from dataclasses import dataclass
 from operator import ge
 
-from .coeffs import CoeffPoly, ConsistencyError, ONE, add_product, finish, interned, shifted
+from .coeffs import ConsistencyError, ONE, add_product, finish, interned, shifted
 from .compositions import (
     canonicalize,
     format_composition,
@@ -304,28 +306,21 @@ def _orbit_image(tau, m, c, n, barred):
     """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
 
     Returns its coefficients at the representatives for max(m, c),
-    interned, since the memo keeps them.  The
-    image is sum_kappa v^e Phi_c(M^kappa) over the keys kappa of the orbit
-    with offsets e; Phi_c(M^kappa) is the prefix p[:c-1] of p =
-    omega*(kappa) followed by the row of the word p[c-1:] (_letter_row),
-    since H_c ... H_{n-1} only touch positions c..n.  The rows are q-free,
-    so the sum is kept as integers per (key, v exponent).
+    interned, since the memo keeps them.  The image is sum_kappa v^e
+    Phi_c(M^kappa) over the keys kappa of the orbit with offsets e;
+    Phi_c(M^kappa) is the prefix p[:c-1] of p = omega*(kappa) followed by
+    the row of the word p[c-1:] (_letter_row), since H_c ... H_{n-1} only
+    touch positions c..n.  Each row entry is added in at its offset by
+    coeffs.add_product.
     """
     acc = {}
     for kappa, e in orbit(tau, m, n):
         p = omega_star(kappa, n)
         prefix = p[: c - 1]
-        it = iter(_letter_row(p[c - 1 :], barred))
-        for u, f, k in zip(it, it, it):
-            t = acc.setdefault(prefix + u, {})
-            t[e + f] = t.get(e + f, 0) + k
-    terms = {}
-    for nu, t in acc.items():
-        c_nu = CoeffPoly.v_laurent(t)
-        if c_nu:
-            terms[nu] = c_nu
+        for u, r in _letter_row(p[c - 1 :], barred).items():
+            add_product(acc.setdefault(prefix + u, {}), r, ONE, 1, e)
     try:
-        reps = msym_expand(ModuleElement.zero(n)._raw(terms), max(m, c)).terms
+        reps = msym_expand(ModuleElement.zero(n)._raw(_finish_all(acc)), max(m, c)).terms
     except MSymmetryViolation as exc:
         raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
                                  % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
@@ -337,24 +332,20 @@ def _letter_row(word, barred):
     """The row of one letter on a word, by Phi_m = H_m Phi_{m+1} read locally.
 
     The row is H_1 ... H_{L-1} M^word over a word of length L with a positive
-    last entry (inverse generators if barred), as the flat tuple (u_1, e_1,
-    c_1, u_2, ...) of its q-free terms c v^e M^u.  A one-entry word is its
-    own row (Phi_n = omega, which _orbit_image has applied).  Otherwise H_2 ...
-    H_{L-1} leave the first entry alone, so the row is H_1 (or H_1^{-1})
-    applied to word[0] followed by the row of word[1:].
+    last entry (inverse generators if barred), as a dict {u: c} of its
+    q-free terms c M^u, each c interned since the memo keeps it.  A
+    one-entry word is its own row (Phi_n = omega, which _orbit_image has
+    applied).  Otherwise H_2 ... H_{L-1} leave the first entry alone, so the
+    row is H_1 (or H_1^{-1}) applied to word[0] followed by the row of
+    word[1:].
     """
     if len(word) == 1:
-        return (word, 0, 1)
+        return {word: interned(ONE)}
     head = word[:1]
-    it = iter(_letter_row(word[1:], barred))
-    terms = {}
-    for u, e, k in zip(it, it, it):
-        terms.setdefault(head + u, {})[(e, 0)] = k
-    x = ModuleElement.zero(len(word))._raw({nu: CoeffPoly(t) for nu, t in terms.items()})
+    x = ModuleElement.zero(len(word))._raw(
+        {head + u: r for u, r in _letter_row(word[1:], barred).items()})
     x = x.hi_inv(1) if barred else x.hi(1)
-    return tuple(
-        z for nu, c in x.terms.items() for (e, _), k in c.terms.items() for z in (nu, e, k)
-    )
+    return {u: interned(r) for u, r in x.terms.items()}
 
 
 # -- monomial images under the standard embedding --------------------------------

@@ -66,12 +66,7 @@ class SparseVector:
             raise ValueError("rank mismatch")
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
+            add_term(terms, key, c)
         return self._raw(terms)
 
     def __sub__(self, other):

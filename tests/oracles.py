@@ -14,8 +14,9 @@ straight from its operator word, the Phi/Phibar letters as a chain of
 generator passes over the whole element, with E~ and the marked E~ built
 from them, the E~ and marked E~ recursions over every key of the rank-n
 support (the library's one letter, OrbitElement.letters, at m = n, where
-every key is its own representative), and distinct permutations by brute
-force.
+every key is its own representative), the Weyl symmetrization of J_mu as
+a breadth-first walk of S_n in right weak order, and distinct permutations
+by brute force.
 """
 
 import itertools
@@ -324,6 +325,28 @@ def marked_e_full(d, n):
     for s, c in zip(order, cols):
         x = full_letter(x, c, MINUS_PHIBAR if s in d.marked else PHI)
     return x
+
+
+def weyl_sum_bfs(x):
+    """sum over w in S_n of v^{l(w)} F(w), F(1) = x and F(w s_i) = H_i^{-1} F(w),
+    walking S_n breadth-first in right weak order, one level at a time."""
+    n = x.rank
+    level = {tuple(range(1, n + 1)): x}
+    total = ModuleElement.zero(n)
+    ell = 0
+    while level:
+        for y in level.values():
+            total = total + y.scale(CoeffPoly.v_power(ell))
+        nxt = {}
+        for w, y in level.items():
+            for i in range(1, n):
+                if w[i - 1] < w[i]:
+                    ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+                    if ws not in nxt:
+                        nxt[ws] = y.hi_inv(i)
+        level = nxt
+        ell += 1
+    return total
 
 
 def distinct_permutations(items, k=None):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qtkostka import clear_caches
 from qtkostka.coeffs import (
+    _INTERNED,
     _PAIRS,
     _SHIFTS,
     CoeffPoly,
@@ -108,6 +109,15 @@ def test_phi_and_b_partition():
     assert CoeffPoly.b_partition((1, 1)) == (ONE - T) * (ONE - T * T)
     assert CoeffPoly.b_partition((2, 1)) == (ONE - T) * (ONE - T)
     assert CoeffPoly.b_partition((2, 2, 1)) == CoeffPoly.phi(2) * CoeffPoly.phi(1)
+
+
+def test_b_partition_is_the_interned_object_of_its_value():
+    # the memo keeps it, so it is the one object of its value
+    clear_caches()
+    for pi in ((), (3,), (1, 1), (2, 1), (2, 2, 1)):
+        b = CoeffPoly.b_partition(pi)
+        assert _INTERNED.get(b) is b, pi
+    clear_caches()
 
 
 def test_pretty():

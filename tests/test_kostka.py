@@ -444,19 +444,17 @@ def test_scan_jobs_agree(tmp_path):
     assert parallel == serial
 
 
-def test_scan_fully_cached_starts_no_pool(tmp_path, monkeypatch):
+def test_scan_fully_cached_agrees_across_jobs(tmp_path):
+    # a warm scan with jobs > 1 reads every value in the workers, leaves the
+    # entries as they were and reports what the cold serial scan did
     cache = tmp_path / "cache"
     first = scan(2, cache_dir=str(cache))
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started for a fully cached scan")
-
-    # scan imports the pool class only on the branch that starts one
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    before = _cache_entries(cache)
     again = scan(2, cache_dir=str(cache), jobs=2)
     first.pop("timings")
     again.pop("timings")
     assert again == first
+    assert _cache_entries(cache) == before
 
 
 def test_scan_writes_one_flat_directory_per_kind(tmp_path, monkeypatch):

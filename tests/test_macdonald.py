@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import e_tilde_chain, e_tilde_full, marked_e_chain, marked_e_full
+from oracles import e_tilde_chain, e_tilde_full, marked_e_chain, marked_e_full, weyl_sum_bfs
 from qtkostka import (
     MSymmetryViolation,
     clear_caches,
@@ -34,6 +34,7 @@ from qtkostka.macdonald import (
     marked_orbit,
     marked_sum_check,
     marked_word,
+    _weyl_sum,
     symmetric_j,
     word_orbit,
 )
@@ -202,13 +203,16 @@ def test_a_corrupted_letter_row_fails_the_orbit_row_check(monkeypatch):
     use(seen)
     build("orbit")
     build("full")
-    entries = [(w, b, j) for w, b in sorted(read) for j in range(2, len(real(w, b)), 3)]
+    # one entry per term c v^e M^u of a row read
+    entries = [(w, b, u, e) for w, b in sorted(read)
+               for u, r in sorted(real(w, b).items()) for e, _ in sorted(r.terms)]
     caught = {"orbit": set(), "full": set()}
-    for w, b, j in entries:
-        def corrupt(word, barred, w=w, b=b, j=j):
+    for w, b, u, e in entries:
+        def corrupt(word, barred, w=w, b=b, u=u, e=e):
             row = real(word, barred)
             if (word, barred) == (w, b):
-                row = row[:j] + (row[j] + 1,) + row[j + 1 :]
+                row = dict(row)
+                row[u] = row[u] + CoeffPoly.v_power(e)
             return row
 
         for route in caught:
@@ -218,12 +222,35 @@ def test_a_corrupted_letter_row_fails_the_orbit_row_check(monkeypatch):
                 build(route)
             except ConsistencyError as exc:
                 assert isinstance(exc, MSymmetryViolation), exc
-                caught[route].add((w, b, j))
+                caught[route].add((w, b, u, e))
     use(real)
     clear_caches()
     assert caught["full"] <= caught["orbit"]
     # weight <= 3 at rank len + 2: the row entries, and the corruptions each route catches
     assert (len(entries), len(caught["orbit"]), len(caught["full"])) == (169, 152, 112)
+
+
+def test_letter_rows_hold_interned_q_free_coefficients(monkeypatch):
+    """Every row _letter_row keeps, the recursive ones too, maps keys to the
+    interned CoeffPoly of a q-free value."""
+    real = parabolic._letter_row
+    read = set()
+
+    def seen(word, barred):
+        read.add((word, barred))
+        return real(word, barred)
+
+    clear_caches()
+    monkeypatch.setattr(parabolic, "_letter_row", seen)
+    for _, orbit_form, _, _ in _sweep(3, 2):
+        orbit_form()
+    monkeypatch.setattr(parabolic, "_letter_row", real)
+    assert read
+    for w, b in read:
+        for u, c in real(w, b).items():
+            assert isinstance(c, CoeffPoly) and c and c.is_q_free(), (w, b, u)
+            assert _INTERNED.get(c) is c, (w, b, u, c)
+    clear_caches()
 
 
 def test_a_cold_kostka_builds_no_full_element(monkeypatch):
@@ -336,6 +363,20 @@ def test_symmetric_j_small():
     assert j2.coefficient((2,)) == (ONE - T) * (ONE - Q * T)
     assert j2.coefficient((1, 1)) == (ONE - T) * (ONE - T) * (ONE + Q)
     assert j2.coefficient((2,)) == j2.coefficient((0, 2))
+
+
+def test_weyl_sum_agrees_with_the_weak_order_walk():
+    # the coset product against the breadth-first walk of S_n, on the E~
+    # that symmetric_j symmetrizes and on basis elements
+    cases = [(mu, n) for n, mus in ((3, ((1,), (2,))), (4, ((1, 1), (2, 1))),
+                                    (5, ((1, 1), (2, 1, 1)))) for mu in mus]
+    for mu, n in cases:
+        low = (0,) * (n - len(mu)) + tuple(sorted(mu))
+        x = e_tilde(low, n).element
+        assert _weyl_sum(x) == weyl_sum_bfs(x), (mu, n)
+    for key, n in (((2, 0, 1), 4), ((0, 1, 2, 0), 4), ((1, 0, 0, 2), 5)):
+        x = ModuleElement.basis(key, n)
+        assert _weyl_sum(x) == weyl_sum_bfs(x), (key, n)
 
 
 def test_symmetric_j_rejects_an_asymmetric_result(monkeypatch):

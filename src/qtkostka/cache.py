@@ -17,15 +17,16 @@ are not read; they are recomputed once and stored flat.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 
 FORMAT = 1
 
 
 def cache_digest(kind, key):
+    # imported on use, as tempfile in _write: a cacheless run never maps OpenSSL
+    import hashlib
+
     canon = json.dumps({"kind": kind, "key": key}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -66,6 +67,8 @@ def _write(path, kind, key, payload):
         {"format": FORMAT, "kind": kind, "key": key, "payload": payload},
         sort_keys=True, separators=(",", ":"),
     )
+    import tempfile
+
     folder = os.path.dirname(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")

@@ -234,7 +234,7 @@ def _selftest_checks(deep):
         )
 
     def symmetric():
-        for mu in [(), (1,), (2,), (1, 1)]:
+        for mu in [(), (1,), (2,), (1, 1), (2, 1)]:
             symmetric_j(mu, default_rank(mu))
         return True
 

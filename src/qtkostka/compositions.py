@@ -8,7 +8,7 @@ stored tuples is padding-invariant equality.  Boxes of the diagram are pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .memo import memoized
 
@@ -59,17 +59,14 @@ def swap(lam, i):
     return _trim(p[: i - 1] + (p[i], p[i - 1]) + p[i + 1 :])
 
 
-@dataclass(frozen=True)
-class SortData:
+class SortData(namedtuple("SortData", "images inversions lam_plus")):
     """The sorting permutation w^lambda at an explicit rank.
 
     images[i-1] = w(i); w is the shortest permutation with
     lambda^+_{w(i)} = lambda_i, and inversions = l(w).
     """
 
-    images: tuple
-    inversions: int
-    lam_plus: tuple
+    __slots__ = ()
 
 
 @memoized
@@ -165,17 +162,15 @@ def omega_star(lam, n):
     return lam[1:] + (lam[0] + 1,)
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(namedtuple("MarkedDiagram", "shape marked")):
     """A composition shape together with a subset of its boxes."""
 
-    shape: tuple
-    marked: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        diagram = set(boxes(self.shape))
-        if not set(self.marked) <= diagram:
-            raise ValueError("marks outside the diagram of %r" % (self.shape,))
+    def __new__(cls, shape, marked):
+        if not set(marked) <= set(boxes(shape)):
+            raise ValueError("marks outside the diagram of %r" % (shape,))
+        return super().__new__(cls, shape, marked)
 
 
 @memoized

@@ -66,8 +66,6 @@ full-rank solve:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bruhat import min_rep_length
 from .coeffs import (
     CoeffPoly,
@@ -83,7 +81,6 @@ from .memo import memoized
 from .parabolic import OrbitElement, d_basis
 
 
-@dataclass(frozen=True)
 class KLElement(OrbitElement):
     """M^_lambda at rank n as its coefficients over the orbit basis M^{tau|m}.
 
@@ -91,7 +88,11 @@ class KLElement(OrbitElement):
     p_tau != 0 to p_tau.
     """
 
-    lam: tuple
+    _FIELDS = OrbitElement._FIELDS + ("lam",)
+
+    def __init__(self, rank, m, terms, lam):
+        super().__init__(rank, m, terms)
+        object.__setattr__(self, "lam", lam)
 
 
 def skew_positive_part(g):

@@ -16,12 +16,11 @@ used as a convergence diagnostic.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cache import cached
 from .coeffs import (
@@ -56,15 +55,8 @@ from .parabolic import OrbitElement, msym_expand, word_orbit
 from .polyrep import ZPoly, to_module
 
 
-@dataclass(frozen=True)
-class KostkaResult:
-    lam: tuple
-    mu: tuple
-    value: CoeffPoly
-    m: int
-    rank: int
-    is_polynomial_in_v: bool
-    is_nonneg: bool
+class KostkaResult(namedtuple("KostkaResult", "lam mu value m rank is_polynomial_in_v is_nonneg")):
+    __slots__ = ()
 
 
 # -- m-symmetric expansions --------------------------------------------------
@@ -515,6 +507,8 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if csv_path is not None:
+        import csv
+
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lambda", "mu", "kostka"])

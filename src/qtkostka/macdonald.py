@@ -28,7 +28,7 @@ when asked for (e_tilde(...).element, marked_e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coeffs import CoeffPoly, ConsistencyError, ONE, VINV, V, ZERO
 from .compositions import (
@@ -48,7 +48,6 @@ from .compositions import (
 from .parabolic import (
     ModuleElement,
     MSymmetryViolation,
-    OrbitElement,
     bar_d,
     msym_expand,
     word_orbit,
@@ -62,12 +61,8 @@ _MINUS_PHIBAR = ((True, -1, 0, 0),)
 _MARKING_WEIGHT_BOUND = 8
 
 
-@dataclass(frozen=True)
-class MacdonaldResult:
-    lam: tuple
-    rank: int
-    orbit: OrbitElement
-    normalization: CoeffPoly
+class MacdonaldResult(namedtuple("MacdonaldResult", "lam rank orbit normalization")):
+    __slots__ = ()
 
     @property
     def element(self):
@@ -200,35 +195,35 @@ def intertwiner_check(mu, i, n):
 def symmetric_j(mu, n):
     """The symmetric Macdonald polynomial J_mu in z-coordinates.
 
-    Symmetrizes E over the finite Weyl group (_weyl_sum), clears the
-    stabilizer factors by exact division, and certifies both symmetry and
-    the z^mu coefficient prod over boxes of (1 - q^a t^{l+1}).
+    Symmetrizes E over the finite Weyl group (_weyl_sum), times (1-t)^n and
+    c_mu = prod over boxes of (1 - q^a t^{l+1}), divided exactly by N
+    prod_a prod_{i <= m_a} (1 - t^i): N leads E~_{mu-}, m_a are the part
+    multiplicities of mu padded to rank n.  Certifies symmetry and the z^mu
+    coefficient c_mu: (1-t)^n times the sum's z^mu coefficient is the divisor.
     """
     mu = canonicalize(mu)
     if any(mu[k] < mu[k + 1] for k in range(len(mu) - 1)):
         raise ValueError("%r is not a partition" % (mu,))
     if n < 2 or n < len(mu):
         raise ValueError("rank too small")
-    m = len(mu)
-    mu_minus = canonicalize((0,) * (n - m) + tuple(sorted(mu)))
-    e_base = e_tilde(mu_minus, n).element.scale(
-        CoeffPoly.v_power(-sorting_data(mu_minus, n).inversions)
-    )
-    numer = _weyl_sum(e_base).scale((ONE - CoeffPoly.t_power(1)) ** n)
-    denom = ONE
-    for k, part in enumerate(mu, start=1):
-        denom = denom * (ONE - CoeffPoly.monomial(1, 2 * (n - m + k), part))
-    for a in range(1, n - m + 1):
-        denom = denom * (ONE - CoeffPoly.t_power(a))
+    want = ONE
+    for s in boxes(mu):
+        want = want * (ONE - CoeffPoly.monomial(1, 2 * (leg(mu, s) + 1), arm(mu, s)))
+    padded = pad(mu, n)
+    mu_minus = canonicalize(sorted(padded))
+    res = e_tilde(mu_minus, n)
+    e_base = res.element.scale(CoeffPoly.v_power(-sorting_data(mu_minus, n).inversions))
+    numer = _weyl_sum(e_base).scale((ONE - CoeffPoly.t_power(1)) ** n * want)
+    denom = res.normalization
+    for part in set(padded):
+        for i in range(1, padded.count(part) + 1):
+            denom = denom * (ONE - CoeffPoly.t_power(i))
     j_mod = ModuleElement(n, {k: c.exact_div(denom) for k, c in numer.terms.items()})
     try:
         msym_expand(j_mod, 0)
     except MSymmetryViolation as exc:
         raise MSymmetryViolation("J_%r is not symmetric at rank %d: %s" % (mu, n, exc)) from None
     jz = from_module(j_mod)
-    want = ONE
-    for s in boxes(mu):
-        want = want * (ONE - CoeffPoly.monomial(1, 2 * (leg(mu, s) + 1), arm(mu, s)))
     if jz.coefficient(mu) != want:
         raise ConsistencyError("J_%r has the wrong z^mu coefficient" % (mu,))
     return jz

@@ -76,7 +76,6 @@ Every memo here comes from memo.py, which also clears them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import ge
 
 from .coeffs import ConsistencyError, ONE, add_product, finish, interned, shifted
@@ -164,7 +163,6 @@ class ModuleElement(SparseVector):
         return x
 
 
-@dataclass(frozen=True)
 class OrbitElement:
     """An m-symmetric element at rank n in the orbit basis M^{tau|m}.
 
@@ -174,12 +172,26 @@ class OrbitElement:
     m-symmetric expansion the pairing reads are carried this way.  The
     coefficient at a key kappa of tau's orbit is v^{inv(kappa) - inv(tau)}
     p_tau (compositions.orbit).  At m = n every key is its own
-    representative, and the orbit form is the element itself.
+    representative, and the orbit form is the element itself.  Instances
+    are read-only, compare by class and fields, and are unhashable.
     """
 
-    rank: int
-    m: int
-    terms: dict
+    _FIELDS = ("rank", "m", "terms")
+
+    def __init__(self, rank, m, terms):
+        # object.__setattr__ keeps the fields inline, with no per-instance dict
+        for name, value in zip(OrbitElement._FIELDS, (rank, m, terms)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     def expansion(self, m):
         """The same element at the symmetry index m >= self.m; self at m = self.m.
@@ -399,7 +411,7 @@ def d_basis(lam, n):
 @memoized
 def _d_row(lam, n):
     """The row of d_basis: the expansion at m = n of the word's orbit form."""
-    return ModuleElement.zero(n)._raw(word_orbit(d_word(lam), n).expansion(n).terms)
+    return ModuleElement.zero(n)._raw(dict(word_orbit(d_word(lam), n).expansion(n).terms))
 
 
 def bar_d(x):

@@ -1,6 +1,5 @@
 """Tests for the command-line front end."""
 
-import dataclasses
 import json
 import sys
 
@@ -120,7 +119,7 @@ def test_scan_internal_failure_is_exit_3_over_a_violation(runner, monkeypatch):
             raise ConsistencyError("injected failure")
         result = real(lam, mu)
         if (lam, mu) == ((2,), (2,)):
-            return dataclasses.replace(result, value=-result.value)
+            return result._replace(value=-result.value)
         return result
 
     monkeypatch.setattr(module, "kostka", flaky)

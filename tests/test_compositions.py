@@ -1,5 +1,7 @@
 """Tests for composition bookkeeping, diagram statistics and markings."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,3 +255,15 @@ def test_omega_star_inverts(raw, extra):
     lam = canonicalize(raw)
     n = max(len(lam) + 1, extra)
     assert lambda_star(omega_star(lam, n))[:2] == (lam, n)
+
+
+def test_marked_diagram_is_a_read_only_tuple_that_pickles():
+    d = MarkedDiagram((2, 1), frozenset({(1, 2)}))
+    with pytest.raises(AttributeError):
+        d.marked = frozenset()
+    # the scan workers return marked diagrams across processes
+    assert pickle.loads(pickle.dumps(d)) == d
+    with pytest.raises(ValueError, match="outside"):
+        MarkedDiagram((2, 1), [(1, 3)])
+    with pytest.raises(ValueError, match="outside"):
+        MarkedDiagram((), frozenset({(1, 1)}))

@@ -8,6 +8,8 @@ two library modules define the same top-level name.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -128,3 +130,15 @@ def test_no_name_is_defined_in_two_modules():
         for name in set(_defined(tree)):
             owners.setdefault(name, []).append(fname)
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_import_loads_no_module_before_a_call_needs_it():
+    # -S keeps site hooks from preloading modules; the package needs none of
+    # these until a cache, a CSV file, the CLI or scan workers are used
+    late = ["dataclasses", "inspect", "hashlib", "tempfile", "csv", "click",
+            "multiprocessing", "concurrent.futures"]
+    code = ("import sys; sys.path.insert(0, %r); import qtkostka; "
+            "print(*(m for m in %r if m in sys.modules))" % (str(SRC.parent), late))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []

@@ -1,5 +1,7 @@
 """Tests for the self-dual basis and its triangular solve in the orbit basis."""
 
+import pickle
+
 import pytest
 
 import oracles
@@ -8,9 +10,9 @@ from qtkostka import kl as kl_module, msym_expand, parabolic
 from qtkostka.coeffs import _INTERNED, CoeffPoly, ConsistencyError, ONE, V, VINV, ZERO
 from qtkostka.bruhat import min_rep_length, preceq
 from qtkostka.compositions import canonicalize, compositions_of, pad, partition_length
-from qtkostka.kl import kl_element, skew_positive_part
+from qtkostka.kl import KLElement, kl_element, skew_positive_part
 from qtkostka.kostka import msym_basis
-from qtkostka.parabolic import ModuleElement, bar_d, d_basis
+from qtkostka.parabolic import ModuleElement, OrbitElement, bar_d, d_basis
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -300,3 +302,19 @@ def test_corrupted_orbit_row_shape_is_caught(cold):
         kl_module._quotient_solve.cache_clear()
         with pytest.raises(ConsistencyError, match=message):
             kl_element(lam, n)
+
+
+def test_kl_element_is_read_only_unhashable_and_pickles():
+    el = kl_element((2, 1), 4)
+    with pytest.raises(AttributeError):
+        el.terms = {}
+    with pytest.raises(AttributeError):
+        del el.lam
+    with pytest.raises(TypeError):
+        hash(el)
+    # the scan workers return KL elements across processes
+    back = pickle.loads(pickle.dumps(el))
+    assert type(back) is KLElement and back == el and back.lam == (2, 1)
+    # equality reads the class and lam as well as the terms
+    assert KLElement(el.rank, el.m, el.terms, (1, 2)) != el
+    assert OrbitElement(el.rank, el.m, el.terms) != el

@@ -1,6 +1,5 @@
 """Tests for the stable pairing, Kostka values, markings, oracles and the scanner."""
 
-import dataclasses
 import json
 import os
 import re
@@ -304,7 +303,7 @@ def test_q0_check_catches_a_wrong_value(monkeypatch):
     def wrong(lam, mu):
         res = real(lam, mu)
         if mu == (1, 1):
-            return dataclasses.replace(res, value=res.value + ONE)
+            return res._replace(value=res.value + ONE)
         return res
 
     assert kostka_q0_check((2,))
@@ -713,3 +712,11 @@ def test_scan_length_bound():
     # only (), (1) and (2) fit in one slot
     assert rep["pairs"] == 3
     assert rep["violations"] == []
+
+
+def test_kostka_result_is_read_only():
+    res = kostka((2,), (1, 1))
+    with pytest.raises(AttributeError):
+        res.value = ONE
+    # _replace is the modified copy
+    assert res._replace(value=ONE).value == ONE != res.value

@@ -405,3 +405,18 @@ def test_duality_is_a_real_involution_statement():
     el = e_tilde((1,), 2).element
     assert bar_d(el) != el
     assert duality_check((1,), 2)
+
+
+def test_symmetric_j_holds_for_every_partition_of_weight_at_most_4():
+    # mu with two part sizes, (2,1), (3,1) and (2,1,1), once failed to divide;
+    # J is also stable: setting z_n = 0 gives J at rank n - 1
+    for d in range(5):
+        for mu in compositions_of(d, d):
+            if list(mu) != sorted(mu, reverse=True):
+                continue
+            low = None
+            for n in range(max(len(mu), 2), 5):
+                j = symmetric_j(mu, n)
+                if low is not None:
+                    assert {k: c for k, c in j.terms.items() if len(k) < n} == low.terms, (mu, n)
+                low = j

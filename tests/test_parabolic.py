@@ -10,12 +10,15 @@ from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
 from qtkostka.compositions import all_markings, compositions_of, pad, swap
 from qtkostka.macdonald import e_orbit, marked_orbit
 from qtkostka.bruhat import preceq
+from qtkostka.memo import clear_caches
 from qtkostka.parabolic import (
     ModuleElement,
     OrbitElement,
     bar_d,
     d_basis,
+    d_word,
     psi_monomial,
+    word_orbit,
 )
 
 T = CoeffPoly.t_power(1)
@@ -307,3 +310,30 @@ def test_bar_d_involution_random(x):
 @settings(max_examples=60, deadline=None)
 def test_json_round_trip_random(x):
     assert ModuleElement.from_json(x.to_json()) == x
+
+
+def test_orbit_element_is_read_only_and_unhashable():
+    x = OrbitElement(3, 1, {(1,): ONE})
+    with pytest.raises(AttributeError):
+        x.m = 2
+    with pytest.raises(TypeError):
+        hash(x)
+    assert x == OrbitElement(3, 1, {(1,): ONE}) != OrbitElement(3, 2, {(1,): ONE})
+    # the cached element is stored on the instance all the same
+    assert x.element is x.element and "element" in vars(x)
+
+
+def test_a_d_basis_row_does_not_share_the_word_orbit_terms():
+    # at l(lambda) = n the row is the expansion of the word's orbit form at
+    # its own index, which is that form itself
+    clear_caches()
+    try:
+        row = d_basis((1, 1, 1), 3)
+        form = word_orbit(d_word((1, 1, 1)), 3)
+        assert row.terms is not form.terms
+        before = dict(form.terms)
+        key = next(iter(row.terms))
+        row.terms[key] = row.terms[key] + ONE
+        assert form.terms == before
+    finally:
+        clear_caches()

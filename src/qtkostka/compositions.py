@@ -172,6 +172,11 @@ class MarkedDiagram(namedtuple("MarkedDiagram", "shape marked")):
             raise ValueError("marks outside the diagram of %r" % (shape,))
         return super().__new__(cls, shape, marked)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip the box check
+        return cls(*iterable)
+
 
 @memoized
 def marking_stats(d):

@@ -122,15 +122,16 @@ def _tail_inversions(tail):
     return sum(1 for i, a in enumerate(tail) for b in tail[i + 1 :] if a > b)
 
 
+@memoized
 def _s_factor(tau, m, n):
-    """s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2}, N = n - m."""
+    """s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2}, N = n - m, interned."""
     tail = pad(tau, n)[m:]
     big = len(tail)
     out = CoeffPoly.v_power(big * (big - 1) // 2 - _tail_inversions(tail))
     for a in set(tail):
         for i in range(2, tail.count(a) + 1):
             out = out * CoeffPoly({(-2 * j, 0): 1 for j in range(i)})
-    return out
+    return interned(out)
 
 
 @memoized

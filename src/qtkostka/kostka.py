@@ -357,38 +357,78 @@ def marked_key(lam, d):
     return {"lambda": format_composition(lam), "marked": format_marked(d)}
 
 
-def _entries(lam, domain, marked):
-    """Every main-pass value of lambda: (kind, store key, cache key, compute, mu, marking).
+def _scan_value(lam, mu, d, cache_dir, records):
+    """K_{lambda,mu}, or its refinement over the marked diagram d, through the cache.
 
-    K_{lambda,mu} is stored under (lam, mu) with marking None, and each
-    marked refinement under (lam, mu, marks) with its MarkedDiagram.
+    A value that fails a certificate (ConsistencyError, NonExactDivision) is
+    None, is not cached and becomes an "internal" record in records.  The
+    cache key is formatted only when there is a cache.
     """
-    for mu in domain[weight(lam)]:
-        yield ("kostka", (lam, mu), kostka_key(lam, mu),
-               lambda mu=mu: kostka(lam, mu).value, mu, None)
-        if marked:
-            for d in all_markings(mu):
-                yield ("marked", (lam, mu, d.marked), marked_key(lam, d),
-                       lambda d=d: marked_kostka(lam, d), mu, d)
+    kind = "kostka" if d is None else "marked"
+    key = None
+    if cache_dir is not None:
+        key = kostka_key(lam, mu) if d is None else marked_key(lam, d)
+    try:
+        return cached(cache_dir, kind, key, "value", CoeffPoly.from_json,
+                      lambda: kostka(lam, mu).value if d is None else marked_kostka(lam, d))
+    except (ConsistencyError, NonExactDivision) as exc:
+        detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
+        records.append(_violation("internal", lam, mu, None, detail, d))
+        return None
 
 
 def _scan_lambda(lam, domain, marked, max_len, cache_dir):
-    """The main-pass results of one lambda, each read from or written to the cache.
+    """Every value of lambda, read or computed through the cache, and every check on them.
 
-    Returns the values under their _entries store keys, the KL element over
-    lambda at a rank that covers every mu in the window, and an "internal"
-    record for each value whose computation raised ConsistencyError or
-    NonExactDivision.  Such a value is left out and not cached.
+    Returns lambda's K row {mu: K_{lambda,mu}}, its violation records and
+    the seconds of its four phases (see scan).  The marked values and the
+    KL element over lambda do not outlive the call.
     """
-    values = {}
-    internal = []
-    for kind, key, cache_key, compute, mu, d in _entries(lam, domain, marked):
-        try:
-            values[key] = cached(cache_dir, kind, cache_key, "value", CoeffPoly.from_json, compute)
-        except (ConsistencyError, NonExactDivision) as exc:
-            detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
-            internal.append(_violation("internal", lam, mu, None, detail, d))
-    return values, kl_element(lam, max(_ranks(lam, ())[1], max_len + 1)), internal
+    records = []
+    row = {}
+    refined = {}  # marked diagram -> refinement
+    t0 = time.perf_counter()
+    for mu in domain[weight(lam)]:
+        val = _scan_value(lam, mu, None, cache_dir, records)
+        if val is not None:
+            row[mu] = val
+        if marked:
+            for d in all_markings(mu):
+                val = _scan_value(lam, mu, d, cache_dir, records)
+                if val is not None:
+                    refined[d] = val
+    t1 = time.perf_counter()
+    for mu, val in row.items():
+        if not (val.is_v_polynomial() and val.is_q_polynomial() and val.is_nonneg()):
+            records.append(_violation("kostka_positivity", lam, mu, val))
+        total = _marking_sum(mu, refined.get)
+        if total is not None and total != val:
+            records.append(_violation("marked_decomposition", lam, mu, total,
+                                      "sum over markings differs"))
+    for d, val in refined.items():
+        if not (val.is_q_free() and val.is_v_polynomial() and val.is_nonneg()):
+            records.append(_violation("marked_positivity", lam, d.shape, val, marking=d))
+    # the scan's mu are its lambdas: each psi(E~_mu) is checked once, with its lambda
+    if not psi_e_polynomial(lam):
+        records.append(_violation("psi_e_polynomial", None, lam, None,
+                                  "coefficient outside Z[v,q]"))
+    t2 = time.perf_counter()
+    p_lam = pad(lam, max_len + 1)
+    for mu, val in row.items():
+        p_mu = pad(mu, max_len + 1)
+        for i in range(1, len(mu) + 1):
+            if p_mu[i - 1] > p_mu[i] and p_lam[i - 1] >= p_lam[i]:
+                other = row.get(swap(mu, i))
+                if other is not None and other != val * V:
+                    records.append(_violation("mpart", lam, mu, other, "expected v*K at i=%d" % i))
+    t3 = time.perf_counter()
+    kl = kl_element(lam, max(_ranks(lam, ())[1], max_len + 1))
+    for mu in _q0_disagreements(kl, row.items()):
+        records.append(_violation("q0_kl", lam, mu, row[mu],
+                                  "q=0 disagrees with the KL coefficient"))
+    t4 = time.perf_counter()
+    seconds = {"kostka": t1 - t0, "conjectures": t2 - t1, "mpart": t3 - t2, "q0_kl": t4 - t3}
+    return row, records, seconds
 
 
 def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
@@ -405,93 +445,45 @@ def scan(max_weight, max_len=None, marked=True, jobs=1, cache_dir=None,
     A value whose computation fails a certificate becomes an "internal"
     violation; the checks that need it skip it, and the scan goes on.
 
-    The work runs in four phases, each a generator of violation records
-    timed under its name: kostka (every value and KL window), conjectures,
-    mpart and q0_kl.
+    The scan works one lambda at a time (_scan_lambda), in four phases:
+    kostka reads or computes its values, conjectures checks positivity, the
+    marking sums and psi(E~_lambda), then mpart and q0_kl.  timings sums each
+    phase over the lambdas, and over the workers with jobs > 1; total is the
+    scan's wall time.
     """
     t_start = time.perf_counter()
     if max_len is None:
         max_len = max(max_weight, 1)
     domain = {d: compositions_of(d, max_len) for d in range(max_weight + 1)}
     all_lams = [lam for d in range(max_weight + 1) for lam in domain[d]]
-    values = {}  # store key of _entries -> value
-    kl_elements = {}
-
-    def note(msg):
-        if progress is not None:
-            progress(msg)
-
-    def pairs():
-        return sorted(item for item in values.items() if len(item[0]) == 2)
-
-    def main_pass():
-        worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
-                                   max_len=max_len, cache_dir=cache_dir)
-        pool = None
-        if jobs > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
-                                       mp_context=multiprocessing.get_context("spawn"))
-        try:
-            rows = pool.map(worker, all_lams) if pool else map(worker, all_lams)
-            for k, (lam, (vals, kl, internal)) in enumerate(zip(all_lams, rows)):
-                values.update(vals)
-                kl_elements[lam] = kl
-                yield from internal
-                note("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
-        finally:
-            if pool:
-                pool.shutdown(cancel_futures=True)
-
-    def conjectures():
-        for (lam, mu), val in pairs():
-            if not (val.is_v_polynomial() and val.is_q_polynomial() and val.is_nonneg()):
-                yield _violation("kostka_positivity", lam, mu, val)
-            total = _marking_sum(mu, lambda d: values.get((lam, mu, d.marked)))
-            if total is not None and total != val:
-                yield _violation("marked_decomposition", lam, mu, total,
-                                 "sum over markings differs")
-        for mu in all_lams:
-            if not psi_e_polynomial(mu):
-                yield _violation("psi_e_polynomial", None, mu, None,
-                                 "coefficient outside Z[v,q]")
-        for key, val in values.items():
-            if len(key) == 3 and not (val.is_q_free() and val.is_v_polynomial()
-                                      and val.is_nonneg()):
-                lam, mu, marks = key
-                yield _violation("marked_positivity", lam, mu, val,
-                                 marking=MarkedDiagram(mu, marks))
-        note("conjecture verdicts done")
-
-    def mpart():
-        for (lam, mu), val in pairs():
-            p_lam = pad(lam, max_len + 1)
-            p_mu = pad(mu, max_len + 1)
-            for i in range(1, len(mu) + 1):
-                if p_mu[i - 1] > p_mu[i] and p_lam[i - 1] >= p_lam[i]:
-                    other = values.get((lam, swap(mu, i)))
-                    if other is not None and other != val * V:
-                        yield _violation("mpart", lam, mu, other, "expected v*K at i=%d" % i)
-
-    def q0_kl():
-        for lam, kl in kl_elements.items():
-            row = [(mu, values[(lam, mu)]) for mu in domain[weight(lam)] if (lam, mu) in values]
-            for mu in _q0_disagreements(kl, row):
-                yield _violation("q0_kl", lam, mu, values[(lam, mu)],
-                                 "q=0 disagrees with the KL coefficient")
-
-    timings = {}
+    table = []  # ((lambda, mu), K) over every K row
     violations = []
-    phases = {"kostka": main_pass, "conjectures": conjectures, "mpart": mpart, "q0_kl": q0_kl}
-    for name, phase in phases.items():
-        t0 = time.perf_counter()
-        violations.extend(phase())
-        timings[name] = round(time.perf_counter() - t0, 3)
+    timings = dict.fromkeys(("kostka", "conjectures", "mpart", "q0_kl"), 0.0)
+    worker = functools.partial(_scan_lambda, domain=domain, marked=marked,
+                               max_len=max_len, cache_dir=cache_dir)
+    pool = None
+    if jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(all_lams)),
+                                   mp_context=multiprocessing.get_context("spawn"))
+    try:
+        results = pool.map(worker, all_lams) if pool else map(worker, all_lams)
+        for k, (lam, (row, records, seconds)) in enumerate(zip(all_lams, results)):
+            table.extend(((lam, mu), val) for mu, val in row.items())
+            violations.extend(records)
+            for name, secs in seconds.items():
+                timings[name] += secs
+            if progress is not None:
+                progress("pairs: %d/%d lambdas done (last %s)" % (k + 1, len(all_lams), lam or "()"))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     violations.sort(key=lambda v: (v["check"], v["lambda"] or "", v["mu"] or "", v.get("marking", "")))
+    timings = {name: round(secs, 3) for name, secs in timings.items()}
     timings["total"] = round(time.perf_counter() - t_start, 3)
-    table = pairs()
+    table.sort()
     report = {
         "format": 1,
         "max_weight": max_weight,

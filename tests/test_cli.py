@@ -209,7 +209,7 @@ def test_kostka_command_and_scan_share_cache_entries(runner, tmp_path, monkeypat
 
     monkeypatch.setattr(cache_module, "cache_put", spy)
     scan(2, cache_dir=str(cache))
-    # scan(2) holds 14 values and 45 marked values; it finds the 5 the command stored
+    # scan(2) computes 14 values and 45 marked values; it finds the 5 the command stored
     assert len(written) == 14 + 45 - 5
     assert not stored & set(written)
     assert {str(path) for path in cache.rglob("*.json")} == stored | set(written)

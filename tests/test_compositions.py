@@ -267,3 +267,11 @@ def test_marked_diagram_is_a_read_only_tuple_that_pickles():
         MarkedDiagram((2, 1), [(1, 3)])
     with pytest.raises(ValueError, match="outside"):
         MarkedDiagram((), frozenset({(1, 1)}))
+
+
+def test_marked_diagram_replace_keeps_the_box_check():
+    with pytest.raises(ValueError, match="outside"):
+        MarkedDiagram((1,), frozenset())._replace(marked=frozenset({(5, 5)}))
+    d = MarkedDiagram((2, 1), frozenset())._replace(marked=frozenset({(1, 2)}))
+    assert type(d) is MarkedDiagram and d == MarkedDiagram((2, 1), frozenset({(1, 2)}))
+    assert pickle.loads(pickle.dumps(d)) == d

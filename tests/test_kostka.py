@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -26,6 +27,7 @@ from qtkostka.compositions import (
 )
 from qtkostka.kl import kl_element
 from qtkostka.kostka import (
+    _scan_lambda,
     charge_oracle,
     kostka,
     kostka_q0_check,
@@ -595,7 +597,7 @@ _MPART = "expected v*K at i=1"
 _Q0 = "q=0 disagrees with the KL coefficient"
 
 
-@pytest.mark.parametrize("kind, key, value, want", [
+_PLANTED = [
     # K_{11,2} = q: every check that reads it fires
     ("kostka", {"lambda": "1,1", "mu": "2"}, -V, [
         {"check": "kostka_positivity", "lambda": "1,1", "mu": "2", "value": (-V).to_json()},
@@ -619,13 +621,35 @@ _Q0 = "q=0 disagrees with the KL coefficient"
         {"check": "q0_kl", "lambda": "2", "mu": "2", "value": (Q + V * V * V).to_json(),
          "detail": _Q0},
     ]),
-], ids=["kostka_11_2", "marked_2_11", "kostka_2_2"])
-def test_scan_checks_report_a_planted_cache_entry(tmp_path, kind, key, value, want):
+]
+
+
+# the checks run in the workers too; the serial cases keep their plain ids
+@pytest.mark.parametrize("kind, key, value, want, jobs", [
+    pytest.param(*case, jobs, id=name if jobs == 1 else name + "-jobs2")
+    for jobs in (1, 2)
+    for name, case in zip(["kostka_11_2", "marked_2_11", "kostka_2_2"], _PLANTED)
+])
+def test_scan_checks_report_a_planted_cache_entry(tmp_path, kind, key, value, want, jobs):
     root = str(tmp_path / "cache")
     assert cache_put(root, kind, key, {"value": value.to_json()})
-    rep = scan(2, cache_dir=root)
+    rep = scan(2, cache_dir=root, jobs=jobs)
     assert rep["violations"] == want
     assert rep["pairs"] == 14
+
+
+def test_scan_lambda_returns_only_the_k_row_records_and_seconds():
+    # what a worker sends back: no marked value and no KL element
+    lam = (2, 1)
+    domain = {d: compositions_of(d, 3) for d in range(4)}
+    result = _scan_lambda(lam, domain, marked=True, max_len=3, cache_dir=None)
+    assert len(result) == 3
+    row, records, seconds = result
+    assert row == {mu: kostka(lam, mu).value for mu in domain[3]}
+    assert records == []
+    assert set(seconds) == {"kostka", "conjectures", "mpart", "q0_kl"}
+    assert all(isinstance(secs, float) and secs >= 0 for secs in seconds.values())
+    assert b"KLElement" not in pickle.dumps(result)
 
 
 def test_scan_reports_a_psi_e_coefficient_outside_z_v_q(monkeypatch):

@@ -29,8 +29,7 @@ from .compositions import (
     weight,
 )
 from .bruhat import leq_affine, min_rep_length, preceq
-from .parabolic import (ModuleElement, MSymmetryViolation, OrbitElement, bar_d, d_basis,
-                        msym_expand, psi_monomial)
+from .parabolic import ModuleElement, MSymmetryViolation, bar_d, d_basis, msym_expand, psi_monomial
 from .polyrep import (
     ZPoly,
     bar_polynomial,

@@ -163,12 +163,13 @@ def omega_star(lam, n):
 
 
 class MarkedDiagram(namedtuple("MarkedDiagram", "shape marked")):
-    """A composition shape together with a subset of its boxes."""
+    """A composition shape together with a subset of its boxes, kept as a frozenset."""
 
     __slots__ = ()
 
     def __new__(cls, shape, marked):
-        if not set(marked) <= set(boxes(shape)):
+        marked = frozenset(marked)
+        if not marked <= set(boxes(shape)):
             raise ValueError("marks outside the diagram of %r" % (shape,))
         return super().__new__(cls, shape, marked)
 

@@ -13,7 +13,7 @@ the p_tau by one triangular solve over this orbit basis (Deodhar's parabolic
 KL setting), at every rank n with one row per representative.  Every
 coefficient is then read off: the coefficient at a key kappa is
 v^{inv(kappa) - inv(tau)} p_tau, with tau the representative of kappa's orbit
-and inv from sorting_data (OrbitElement.expansion).
+and inv from sorting_data (ModuleElement.expansion).
 
 Orbit rows.  Let N = n - m and J = {m+1, ..., n-1}.  The element
 C_J = v^{N(N-1)/2} sum_{w in W_J} v^{-l(w)} H_w is bar-invariant, and
@@ -66,6 +66,8 @@ full-rank solve:
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .bruhat import min_rep_length
 from .coeffs import (
     CoeffPoly,
@@ -78,21 +80,19 @@ from .coeffs import (
 )
 from .compositions import canonicalize, pad, partition_length
 from .memo import memoized
-from .parabolic import OrbitElement, d_basis
+from .parabolic import ModuleElement, d_basis
 
 
-class KLElement(OrbitElement):
+class KLElement(ModuleElement):
     """M^_lambda at rank n as its coefficients over the orbit basis M^{tau|m}.
 
     m = partition_length(lambda); terms maps each representative tau with
-    p_tau != 0 to p_tau.
+    p_tau != 0 to p_tau; built as KLElement(rank, terms, m, lambda).  Its
+    linear operations return plain ModuleElements.
     """
 
-    _FIELDS = OrbitElement._FIELDS + ("lam",)
-
-    def __init__(self, rank, m, terms, lam):
-        super().__init__(rank, m, terms)
-        object.__setattr__(self, "lam", lam)
+    __slots__ = ()
+    lam = property(itemgetter(3))
 
 
 def skew_positive_part(g):
@@ -217,4 +217,4 @@ def _quotient_solve(lam, n):
     image = {sigma: finish(t) for sigma, t in image.items()}
     if {sigma: c for sigma, c in image.items() if c} != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
-    return KLElement(n, m, coeffs, lam)
+    return KLElement(n, coeffs, m, lam)

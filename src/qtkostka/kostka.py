@@ -51,7 +51,7 @@ from .compositions import (
 from .kl import kl_element
 from .macdonald import e_orbit, e_word, marked_word
 from .memo import memoized
-from .parabolic import OrbitElement, msym_expand, word_orbit
+from .parabolic import ModuleElement, msym_expand, word_orbit
 from .polyrep import ZPoly, to_module
 
 
@@ -64,12 +64,7 @@ class KostkaResult(namedtuple("KostkaResult", "lam mu value m rank is_polynomial
 
 def msym_basis(tau, m, n):
     """The orbit sum M^{tau|m} at rank n, normalized at the representative."""
-    tau = canonicalize(tau)
-    if len(tau) > n:
-        raise ValueError("rank too small")
-    if partition_length(tau) > m:
-        raise ValueError("%r is not a representative for m=%d" % (tau, m))
-    return OrbitElement(n, m, {tau: ONE}).element
+    return ModuleElement(n, {tau: ONE}, m).element
 
 
 def quotients(y):
@@ -79,14 +74,14 @@ def quotients(y):
     genuinely stable-paired object.  The quotients are interned, since the
     memo _quotients keeps them.
     """
-    return OrbitElement(y.rank, y.m, {
+    return ModuleElement._raw(y.rank, {
         tau: interned(c.exact_div(CoeffPoly.b_partition(tau[y.m :])))
         for tau, c in y.terms.items()
-    })
+    }, y.m)
 
 
 def pair(x, yq):
-    """The stable scalar product <x, y> of two OrbitElements at one (m, rank).
+    """The stable scalar product <x, y> of two orbit forms at one (m, rank).
 
     yq is quotients(y): the b-division is already done, so the pairing is
     the sum over the representatives tau of x_tau yq_tau.
@@ -101,8 +96,9 @@ def pair_truncated(x, y):
     if x.rank != y.rank:
         raise ValueError("rank mismatch")
     out = {}
+    y_terms = y.terms
     for tau, xc in x.terms.items():
-        yc = y.terms.get(tau)
+        yc = y_terms.get(tau)
         if yc is not None:
             add_product(out, xc, yc)
     return finish(out)
@@ -172,8 +168,8 @@ def _q0_disagreements(kl, values):
     coefficient of the KL element kl at mu.
 
     A value with a negative q power has no q=0 part and disagrees.  The
-    coefficients are read from kl.expansion, so the ModuleElement of kl is
-    never built.
+    coefficients are the terms of kl.expansion(kl.rank); no element is
+    wrapped around them.
     """
     coeffs = kl.expansion(kl.rank).terms
     for mu, val in values:

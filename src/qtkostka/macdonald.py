@@ -13,8 +13,8 @@ polynomial J_mu, all used as cross-checks downstream.
 Words in orbit form.  E~ (the star chain, e_word) and every marked E~
 (the box enumeration, marked_word) are words of steps (c, letters) on M^0,
 built by the one memoized parabolic.word_orbit, which also builds the
-involution rows, one OrbitElement.letters call per step, so words that
-share a prefix share its element.  The result has a
+involution rows, one ModuleElement.letters call per step, so words that
+share a prefix share its element.  The result is a ModuleElement with a
 symmetry index m and one coefficient p_tau per representative tau of the
 orbit basis M^{tau|m}, the basis the pairing reads.  A letter Phi_c maps an
 m'-symmetric element to a max(m', c)-symmetric one and each orbit row it
@@ -22,8 +22,8 @@ reads is certified by msym_expand (proofs in parabolic.py).  M^0 is
 0-symmetric, so E~_lambda ends up l(lambda)-symmetric, and a marked E~
 m-symmetric for its largest column length, at most l(shape).  The final
 element is its orbit form by construction, so the pairing reads
-expansion(m) and never builds a full E~; the full element is expanded only
-when asked for (e_tilde(...).element, marked_e).
+expansion(m) and never builds a full E~; the full element is expanded, and
+not kept, each time it is asked for (e_tilde(...).element, marked_e).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class MacdonaldResult(namedtuple("MacdonaldResult", "lam rank orbit normalizatio
 
     @property
     def element(self):
-        """E~ in the standard basis, expanded on first access."""
+        """E~ in the standard basis, expanded on each access."""
         return self.orbit.element
 
 

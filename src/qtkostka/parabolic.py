@@ -15,11 +15,11 @@ The operator words Phi_m = H_m...H_{n-1} omega, Phibar_m with inverse factors,
 and Z_i = H_i^{-1}...H_{n-1}^{-1} omega H_1...H_{i-1} are always applied
 right to left (rightmost factor first).
 
-Orbit form.  An m-symmetric element (H_i x = v^-1 x for every i > m) is
-carried by one coefficient p_tau per representative tau of the orbit basis
-M^{tau|m} (OrbitElement).  At m = n there is no i > m, every key is its own
-representative and M^{tau|n} = M^tau: the full basis is the orbit basis at
-m = n, and any element is the OrbitElement at n over its own terms.
+One element type.  An m-symmetric element (H_i x = v^-1 x for every i > m)
+is carried by one coefficient p_tau per representative tau of the orbit
+basis M^{tau|m}: a ModuleElement with index m.  At m = n there is no i > m,
+every key is its own representative and M^{tau|n} = M^tau, so the
+ModuleElement at m = n, the default, is the element in the standard basis.
 
 Letters keep symmetry.  For c < i <= n-1, s_i s_c ... s_{n-1} = s_c ...
 s_{n-1} s_{i-1}, both sides reduced, so H_i H_c ... H_{n-1} = H_c ...
@@ -30,7 +30,7 @@ Phibar_c H_i too.  Hence if H_i x = v^-1 x for every i > m', then H_i
 Phi_c(x) = v^-1 Phi_c(x) for every i > max(m', c): a letter maps an
 m'-symmetric element to a max(m', c)-symmetric one.
 
-One letter.  Phi_c and Phibar_c are applied only by OrbitElement.letters.
+One letter.  Phi_c and Phibar_c are applied only by ModuleElement.letters.
 The image of the orbit sum M^{tau|m'} under Phi_c (or Phibar_c) is built
 once per (tau, m', c, n, barred) over every key of tau's orbit
 (_orbit_image), from the memoized word rows of _letter_row.  A word row is
@@ -55,7 +55,7 @@ M^{tau|m'}: true for M^0, and the letters are linear over Z[v^±1, q^±1], so
 
 which is the orbit form letters returns.  Orbits are disjoint, so that sum
 passes msym_expand at m by definition, and it is m''-symmetric for any m''
->= m, read at its representatives by OrbitElement.expansion(m'').  At m' = n
+>= m, read at its representatives by ModuleElement.expansion(m'').  At m' = n
 every key is its own orbit and each image row is the letter on one basis
 element.
 
@@ -75,8 +75,7 @@ Every memo here comes from memo.py, which also clears them.
 
 from __future__ import annotations
 
-import functools
-from operator import ge
+from operator import ge, itemgetter
 
 from .coeffs import ConsistencyError, ONE, add_product, finish, interned, shifted
 from .compositions import (
@@ -85,21 +84,43 @@ from .compositions import (
     lambda_star,
     omega_star,
     orbit,
+    partition_length,
     swap,
 )
 from .memo import memoized
 from .sparse import SparseVector, add_term
 
-# the one letter Phibar of the involution rows, as OrbitElement.letters takes it
+# the one letter Phibar of the involution rows, as ModuleElement.letters takes it
 _PHIBAR = ((True, 1, 0, 0),)
 
 
 class ModuleElement(SparseVector):
-    """A finite CoeffPoly-combination of standard basis elements at rank n."""
+    """An m-symmetric element at rank n in the orbit basis M^{tau|m}.
+
+    terms maps each representative tau (padded tail p[m:] weakly
+    decreasing) with p_tau != 0 to p_tau; the element is sum_tau p_tau
+    M^{tau|m}, with coefficient v^{inv(kappa) - inv(tau)} p_tau at a key
+    kappa of tau's orbit (compositions.orbit).  m defaults to n, where every
+    key is its own representative.  Every standard-basis operation reads
+    element, the expansion at m = n.
+    """
 
     __slots__ = ()
+    m = property(itemgetter(2))
 
     JSON_KEY = "lambda"
+
+    def __new__(cls, rank, terms=None, m=None, *more):
+        m = rank if m is None else m
+        out = super().__new__(cls, rank, terms, m, *more)
+        if not 0 <= m <= rank or any(partition_length(tau) > m for tau in out.terms):
+            raise ValueError("m=%d is out of range or has a non-representative key" % m)
+        return out
+
+    @staticmethod
+    def _raw(rank, terms, m=None):
+        """A plain ModuleElement at rank and m (default rank) over terms, taken without checks."""
+        return tuple.__new__(ModuleElement, (rank, terms, rank if m is None else m))
 
     @staticmethod
     def basis(lam, rank):
@@ -107,6 +128,49 @@ class ModuleElement(SparseVector):
 
     def basis_name(self, lam):
         return "M^{(%s)}" % format_composition(lam)
+
+    def expansion(self, m):
+        """The same element at the symmetry index m >= self.m; self at m = self.m.
+
+        The shifted copies come from the shift memo (coeffs.shifted), so
+        equal shifts are one object across every expansion.
+        """
+        if not self.m <= m <= self.rank:
+            raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
+        if m == self.m:
+            return self  # instances are read-only
+        out = {}
+        for tau, p in self.terms.items():
+            for key, e in orbit(tau, self.m, self.rank, m - self.m):
+                out[key] = shifted(p, e)
+        return self._raw(self.rank, out, m)
+
+    @property
+    def element(self):
+        """The element in the standard basis, expansion(rank); nothing is stored."""
+        return self.expansion(self.rank)
+
+    def letters(self, c, letters):
+        """sum over letters (barred, k, a, b) of k v^a q^b Phi_c (Phibar_c if barred).
+
+        The image is max(m, c)-symmetric; it is sum_tau p_tau times the
+        image of M^{tau|m}, one coeffs.add_product per entry (tau, sigma) of
+        the certified orbit rows (_orbit_image).  Its coefficients are
+        interned: word_orbit and _d_row keep them.
+        """
+        n = self.rank
+        if not 1 <= c <= n:
+            raise ValueError("letter index %d out of range for rank %d" % (c, n))
+        acc = {}
+        for tau, p in self.terms.items():
+            for barred, k, a, b in letters:
+                for sigma, r in _orbit_image(tau, self.m, c, n, barred).items():
+                    t = acc.get(sigma)
+                    if t is None:
+                        t = acc[sigma] = {}
+                    add_product(t, p, r, k, a, b)
+        terms = {sigma: interned(r) for sigma, r in _finish_all(acc).items()}
+        return self._raw(n, terms, max(self.m, c))
 
     # -- generator action -------------------------------------------------------
 
@@ -133,7 +197,7 @@ class ModuleElement(SparseVector):
         if not 1 <= i <= n - 1:
             raise ValueError("index %d out of range for rank %d" % (i, n))
         acc = {}
-        for lam, c in self.terms.items():
+        for lam, c in self.element.terms.items():
             a = lam[i - 1] if i - 1 < len(lam) else 0
             b = lam[i] if i < len(lam) else 0
             if a == b:
@@ -142,12 +206,12 @@ class ModuleElement(SparseVector):
                 add_term(acc, swap(lam, i), c)
                 if (b - a) * sign > 0:
                     add_term(acc, lam, c.echo(sign))
-        return self._raw(acc)
+        return self._raw(n, acc)
 
     def omega(self):
         """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
         n = self.rank
-        return self._raw({omega_star(lam, n): c for lam, c in self.terms.items()})
+        return self._raw(n, {omega_star(lam, n): c for lam, c in self.element.terms.items()})
 
     def z_op(self, i):
         """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
@@ -163,85 +227,11 @@ class ModuleElement(SparseVector):
         return x
 
 
-class OrbitElement:
-    """An m-symmetric element at rank n in the orbit basis M^{tau|m}.
-
-    terms maps each representative tau (padded tail p[m:] weakly
-    decreasing) with p_tau != 0 to p_tau; the element is sum_tau p_tau
-    M^{tau|m}.  The KL element, every E~ and marked E~, and every
-    m-symmetric expansion the pairing reads are carried this way.  The
-    coefficient at a key kappa of tau's orbit is v^{inv(kappa) - inv(tau)}
-    p_tau (compositions.orbit).  At m = n every key is its own
-    representative, and the orbit form is the element itself.  Instances
-    are read-only, compare by class and fields, and are unhashable.
-    """
-
-    _FIELDS = ("rank", "m", "terms")
-
-    def __init__(self, rank, m, terms):
-        # object.__setattr__ keeps the fields inline, with no per-instance dict
-        for name, value in zip(OrbitElement._FIELDS, (rank, m, terms)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is read-only" % type(self).__name__)
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def expansion(self, m):
-        """The same element at the symmetry index m >= self.m; self at m = self.m.
-
-        The shifted copies come from the shift memo (coeffs.shifted), so
-        equal shifts are one object across every expansion.
-        """
-        if not self.m <= m <= self.rank:
-            raise ValueError("element is %d-symmetric, not read at m=%d" % (self.m, m))
-        if m == self.m:
-            return self  # instances are immutable
-        out = {}
-        for tau, p in self.terms.items():
-            for key, e in orbit(tau, self.m, self.rank, m - self.m):
-                out[key] = shifted(p, e)
-        return OrbitElement(self.rank, m, out)
-
-    @functools.cached_property
-    def element(self):
-        """The element in the standard basis, every key its own representative."""
-        return ModuleElement.zero(self.rank)._raw(self.expansion(self.rank).terms)
-
-    def letters(self, c, letters):
-        """sum over letters (barred, k, a, b) of k v^a q^b Phi_c (Phibar_c if barred).
-
-        The image is max(m, c)-symmetric; it is sum_tau p_tau times the
-        image of M^{tau|m}, one coeffs.add_product per entry (tau, sigma) of
-        the certified orbit rows (_orbit_image).  Its coefficients are
-        interned: word_orbit and _d_row keep them.
-        """
-        n = self.rank
-        if not 1 <= c <= n:
-            raise ValueError("letter index %d out of range for rank %d" % (c, n))
-        acc = {}
-        for tau, p in self.terms.items():
-            for barred, k, a, b in letters:
-                for sigma, r in _orbit_image(tau, self.m, c, n, barred).items():
-                    t = acc.get(sigma)
-                    if t is None:
-                        t = acc[sigma] = {}
-                    add_product(t, p, r, k, a, b)
-        terms = {sigma: interned(r) for sigma, r in _finish_all(acc).items()}
-        return OrbitElement(n, max(self.m, c), terms)
-
-
 @memoized
 def word_orbit(word, n):
     """The steps (c, letters) of word applied to M^0 at rank n, first step first."""
     if not word:
-        return OrbitElement(n, 0, {(): interned(ONE)})
+        return ModuleElement._raw(n, {(): interned(ONE)}, 0)
     return word_orbit(word[:-1], n).letters(*word[-1])
 
 
@@ -250,7 +240,7 @@ class MSymmetryViolation(ConsistencyError):
 
 
 def msym_expand(x, m):
-    """The OrbitElement at index m of an m-symmetric ModuleElement x.
+    """The orbit form at index m of an m-symmetric ModuleElement x.
 
     Its terms are those of x at the representatives for m, the keys whose
     padded tail p[m:] is weakly decreasing; its element is x again.  The
@@ -275,7 +265,7 @@ def msym_expand(x, m):
     n = x.rank
     if not 0 <= m <= n:
         raise ValueError("m out of range")
-    terms = x.terms
+    terms = x.element.terms
     reps = {}
     walked = 0
     for tau, p in terms.items():
@@ -300,7 +290,7 @@ def msym_expand(x, m):
         stray = next(kappa for kappa in terms if kappa not in seen)
         raise MSymmetryViolation(
             "%r lies on no orbit of a representative term; not %d-symmetric" % (stray, m))
-    return OrbitElement(n, m, reps)
+    return ModuleElement._raw(n, reps, m)
 
 
 def _finish_all(acc):
@@ -332,7 +322,7 @@ def _orbit_image(tau, m, c, n, barred):
         for u, r in _letter_row(p[c - 1 :], barred).items():
             add_product(acc.setdefault(prefix + u, {}), r, ONE, 1, e)
     try:
-        reps = msym_expand(ModuleElement.zero(n)._raw(_finish_all(acc)), max(m, c)).terms
+        reps = msym_expand(ModuleElement._raw(n, _finish_all(acc)), max(m, c)).terms
     except MSymmetryViolation as exc:
         raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
                                  % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
@@ -354,8 +344,8 @@ def _letter_row(word, barred):
     if len(word) == 1:
         return {word: interned(ONE)}
     head = word[:1]
-    x = ModuleElement.zero(len(word))._raw(
-        {head + u: r for u, r in _letter_row(word[1:], barred).items()})
+    x = ModuleElement._raw(
+        len(word), {head + u: r for u, r in _letter_row(word[1:], barred).items()})
     x = x.hi_inv(1) if barred else x.hi(1)
     return {u: interned(r) for u, r in x.terms.items()}
 
@@ -411,14 +401,14 @@ def d_basis(lam, n):
 @memoized
 def _d_row(lam, n):
     """The row of d_basis: the expansion at m = n of the word's orbit form."""
-    return ModuleElement.zero(n)._raw(dict(word_orbit(d_word(lam), n).expansion(n).terms))
+    return ModuleElement._raw(n, dict(word_orbit(d_word(lam), n).expansion(n).terms))
 
 
 def bar_d(x):
     """The semilinear bar involution of the module."""
     acc = {}
-    for lam, c in x.terms.items():
+    for lam, c in x.element.terms.items():
         cb = c.bar()
         for nu, r in d_basis(lam, x.rank).terms.items():
             add_product(acc.setdefault(nu, {}), r, cb)
-    return ModuleElement.zero(x.rank)._raw(_finish_all(acc))
+    return ModuleElement._raw(x.rank, _finish_all(acc))

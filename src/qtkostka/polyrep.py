@@ -45,17 +45,15 @@ class ZPoly(SparseVector):
         )
 
     def swap_vars(self, i):
-        """Exchange z_i and z_{i+1}."""
-        acc = {}
-        for tau, c in self.terms.items():
-            acc[swap(tau, i)] = c
-        return self._raw(acc)
+        """Exchange z_i and z_{i+1}, 1 <= i <= rank-1."""
+        n = self.rank
+        if not 1 <= i <= n - 1:
+            raise ValueError("index %d out of range for rank %d" % (i, n))
+        return self._raw(n, {swap(tau, i): c for tau, c in self.terms.items()})
 
     def hi(self, i):
         """Demazure-Lusztig action of H_i."""
         n = self.rank
-        if not 1 <= i <= n - 1:
-            raise ValueError("index %d out of range for rank %d" % (i, n))
         swapped = self.swap_vars(i)
         diff = self - swapped
         # z_{i+1} * diff, then exact division by z_i - z_{i+1}
@@ -63,7 +61,7 @@ class ZPoly(SparseVector):
         for tau, c in diff.terms.items():
             p = pad(tau, max(len(tau), i + 1))
             shifted[p[:i] + (p[i] + 1,) + p[i + 1 :]] = c
-        dd = self._raw(_div_by_zi_minus_zj(shifted, i, n))
+        dd = self._raw(n, _div_by_zi_minus_zj(shifted, i, n))
         return swapped.scale(VINV) + dd.scale(V_MINUS_VINV)
 
     def hi_inv(self, i):
@@ -76,7 +74,7 @@ class ZPoly(SparseVector):
         for tau, c in self.terms.items():
             p = pad(tau, n)
             acc[canonicalize(p[1:] + (p[0],))] = c.shift(q_exp=-p[0])
-        return self._raw(acc)
+        return self._raw(n, acc)
 
     def omega_tilde_inv(self):
         """Substitute (z_2, ..., z_n, q z_1)."""
@@ -85,7 +83,7 @@ class ZPoly(SparseVector):
         for tau, c in self.terms.items():
             p = pad(tau, n)
             acc[canonicalize((p[n - 1],) + p[: n - 1])] = c.shift(q_exp=p[n - 1])
-        return self._raw(acc)
+        return self._raw(n, acc)
 
 
 def _div_by_zi_minus_zj(terms, i, n):
@@ -123,7 +121,9 @@ def cherednik_xi(f, i):
 
 
 def xi_eigenvalue(lam, n, i):
-    """q^{lambda_i} t^{1 - w^lambda(i)}, the xi_i eigenvalue on E_lambda."""
+    """q^{lambda_i} t^{1 - w^lambda(i)}, the xi_i eigenvalue on E_lambda, 1 <= i <= n."""
+    if not 1 <= i <= n:
+        raise ValueError("index out of range")
     lam_p = pad(canonicalize(lam), n)
     w = sorting_data(canonicalize(lam), n).images
     return CoeffPoly.monomial(1, 2 * (1 - w[i - 1]), lam_p[i - 1])
@@ -144,7 +144,7 @@ def from_module(x):
     so peeling from the top (largest minimal-coset-rep length first) works.
     """
     n = x.rank
-    rem = x
+    rem = x.element
     acc = {}
     while rem.terms:
         mu = max(rem.terms, key=lambda lam: min_rep_length(lam, n))

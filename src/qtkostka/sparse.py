@@ -8,6 +8,8 @@ Subclasses name their JSON key and how a basis element prints.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .coeffs import CoeffPoly, MINUS_ONE, ONE
 from .compositions import canonicalize, format_composition, pad, parse_composition
 
@@ -22,21 +24,37 @@ def add_term(acc, key, c):
         del acc[key]
 
 
-class SparseVector:
-    """A finite CoeffPoly-combination of basis elements at rank n."""
+class SparseVector(tuple):
+    """A finite CoeffPoly-combination of basis elements at rank n.
 
-    __slots__ = ("rank", "terms")
+    An instance is the tuple of its fields, rank and terms first, so it is
+    read-only, equal only to an instance of its class with equal fields, and
+    unhashable.  The linear operations read element, the standard basis.
+    """
+
+    __slots__ = ()
+    rank = property(itemgetter(0))
+    terms = property(itemgetter(1))
+    # the fields are read by name: a vector is no sequence and no repetition
+    __iter__ = __len__ = __contains__ = __mul__ = __rmul__ = None
 
     JSON_KEY = None  # name of the key field in to_json
 
-    def __init__(self, rank, terms=None):
-        """terms maps raw keys to coefficients; raw keys that trim alike are summed."""
+    def __new__(cls, rank, terms=None, *more):
+        """terms maps raw keys to coefficients; raw keys that trim alike are summed.
+
+        more are the fields a subclass keeps after terms.
+        """
         if rank < 2:
             raise ValueError("rank must be at least 2")
-        self.rank = rank
-        self.terms = {}
+        out = tuple.__new__(cls, (rank, {}) + more)
         if terms:
-            self._collect(terms.items())
+            out._collect(terms.items())
+        return out
+
+    def __getnewargs__(self):
+        # pickle rebuilds an instance through __new__, from its fields
+        return self[:]
 
     def _collect(self, pairs):
         """Add each (raw key, coefficient) of pairs into terms, keys validated."""
@@ -51,38 +69,39 @@ class SparseVector:
     def zero(cls, rank):
         return cls(rank)
 
-    def _raw(self, terms):
-        """An instance of the same class and rank over terms, taken without checks."""
-        cls = type(self)
-        out = cls.__new__(cls)
-        out.rank = self.rank
-        out.terms = terms
-        return out
+    @classmethod
+    def _raw(cls, rank, terms):
+        """A vector at rank over terms, taken without checks."""
+        return tuple.__new__(cls, (rank, terms))
+
+    @property
+    def element(self):
+        """The vector in its standard basis: itself."""
+        return self
 
     # -- linear structure -------------------------------------------------------
 
     def __add__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
+        terms = dict(self.element.terms)
+        for key, c in other.element.terms.items():
             add_term(terms, key, c)
-        return self._raw(terms)
+        return self._raw(self.rank, terms)
 
     def __sub__(self, other):
         return self + other.scale(MINUS_ONE)
 
     def scale(self, c):
         if c.is_zero():
-            return self.zero(self.rank)
-        return self._raw({key: x * c for key, x in self.terms.items()})
+            return self._raw(self.rank, {})
+        return self._raw(self.rank, {key: x * c for key, x in self.element.terms.items()})
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __bool__(self):
         return bool(self.terms)
@@ -91,10 +110,10 @@ class SparseVector:
         return not self.terms
 
     def coefficient(self, key):
-        return self.terms.get(canonicalize(key), CoeffPoly.zero())
+        return self.element.terms.get(canonicalize(key), CoeffPoly.zero())
 
     def support(self):
-        return set(self.terms)
+        return set(self.element.terms)
 
     def project(self):
         """Rank-lowering projection: kill keys with a positive n-th entry.
@@ -104,9 +123,7 @@ class SparseVector:
         n = self.rank
         if n < 3:
             raise ValueError("cannot project below rank 2")
-        out = self._raw({key: c for key, c in self.terms.items() if len(key) < n})
-        out.rank = n - 1
-        return out
+        return self._raw(n - 1, {key: c for key, c in self.element.terms.items() if len(key) < n})
 
     # -- serialization ----------------------------------------------------------
 
@@ -115,7 +132,7 @@ class SparseVector:
             "rank": self.rank,
             "terms": [
                 {self.JSON_KEY: format_composition(key), "coef": c.to_json()}
-                for key, c in sorted(self.terms.items())
+                for key, c in sorted(self.element.terms.items())
             ],
         }
 
@@ -133,15 +150,14 @@ class SparseVector:
         raise NotImplementedError
 
     def pretty(self):
-        if not self.terms:
+        terms = self.element.terms
+        if not terms:
             return "0"
         use_t = all(
-            a % 2 == 0 for c in self.terms.values() for (a, _) in c.terms
+            a % 2 == 0 for c in terms.values() for (a, _) in c.terms
         )
         chunks = []
-        for key, c in sorted(
-            self.terms.items(), key=lambda kv: pad(kv[0], self.rank), reverse=True
-        ):
+        for key, c in sorted(terms.items(), key=lambda kv: pad(kv[0], self.rank), reverse=True):
             if not key:
                 chunks.append(c.pretty(use_t))
                 continue

@@ -13,7 +13,7 @@ the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
 straight from its operator word, the Phi/Phibar letters as a chain of
 generator passes over the whole element, with E~ and the marked E~ built
 from them, the E~ and marked E~ recursions over every key of the rank-n
-support (the library's one letter, OrbitElement.letters, at m = n, where
+support (the library's one letter, ModuleElement.letters, at m = n, where
 every key is its own representative), the Weyl symmetrization of J_mu as
 a breadth-first walk of S_n in right weak order, and distinct permutations
 by brute force.
@@ -26,7 +26,7 @@ from qtkostka.bruhat import min_rep_length
 from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish
 from qtkostka.compositions import box_enumeration, lambda_star
 from qtkostka.kl import skew_positive_part
-from qtkostka.parabolic import ModuleElement, OrbitElement, d_basis
+from qtkostka.parabolic import ModuleElement, d_basis
 
 
 def mul_perm(a, b):
@@ -299,12 +299,6 @@ def marked_e_chain(d, n):
     return x
 
 
-def full_letter(x, c, letters):
-    """OrbitElement.letters(c, letters) on a ModuleElement x, read as the
-    OrbitElement at m = n over its own terms."""
-    return ModuleElement(x.rank, OrbitElement(x.rank, x.rank, x.terms).letters(c, letters).terms)
-
-
 PHI = ((False, 1, 0, 0),)
 PHIBAR = ((True, 1, 0, 0),)
 MINUS_PHIBAR = ((True, -1, 0, 0),)
@@ -315,7 +309,7 @@ def e_tilde_full(lam, n):
     if not lam:
         return ModuleElement.basis((), n)
     star, m, a = lambda_star(lam)
-    return full_letter(e_tilde_full(star, n), m, PHI + ((True, -1, 2 * a, lam[m - 1]),))
+    return e_tilde_full(star, n).letters(m, PHI + ((True, -1, 2 * a, lam[m - 1]),))
 
 
 def marked_e_full(d, n):
@@ -323,7 +317,7 @@ def marked_e_full(d, n):
     order, cols = box_enumeration(d.shape)
     x = ModuleElement.basis((), n)
     for s, c in zip(order, cols):
-        x = full_letter(x, c, MINUS_PHIBAR if s in d.marked else PHI)
+        x = x.letters(c, MINUS_PHIBAR if s in d.marked else PHI)
     return x
 
 

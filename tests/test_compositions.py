@@ -261,12 +261,23 @@ def test_marked_diagram_is_a_read_only_tuple_that_pickles():
     d = MarkedDiagram((2, 1), frozenset({(1, 2)}))
     with pytest.raises(AttributeError):
         d.marked = frozenset()
-    # the scan workers return marked diagrams across processes
+    # pickling is kept as API
     assert pickle.loads(pickle.dumps(d)) == d
     with pytest.raises(ValueError, match="outside"):
         MarkedDiagram((2, 1), [(1, 3)])
     with pytest.raises(ValueError, match="outside"):
         MarkedDiagram((), frozenset({(1, 1)}))
+
+
+def test_marked_diagram_keeps_its_marks_as_a_frozenset():
+    from qtkostka.kostka import marked_kostka
+
+    want = MarkedDiagram((2, 1), frozenset({(1, 1)}))
+    for marks in ([(1, 1)], {(1, 1)}, ((1, 1),)):
+        d = MarkedDiagram((2, 1), marks)
+        assert type(d.marked) is frozenset and d == want and hash(d) == hash(want)
+        assert marked_kostka((2, 1), d) == marked_kostka((2, 1), want)
+    assert type(want._replace(marked=[(1, 2)]).marked) is frozenset
 
 
 def test_marked_diagram_replace_keeps_the_box_check():

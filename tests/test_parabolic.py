@@ -1,25 +1,28 @@
 """Tests for the induced module: Hecke action, rotation, and the bar involution."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PHI, PHIBAR, d_basis_word, full_letter, letter_chain
+from oracles import PHI, PHIBAR, d_basis_word, letter_chain
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
 from qtkostka.compositions import all_markings, compositions_of, pad, swap
 from qtkostka.macdonald import e_orbit, marked_orbit
 from qtkostka.bruhat import preceq
 from qtkostka.memo import clear_caches
+from qtkostka.kl import KLElement, kl_element
 from qtkostka.parabolic import (
     ModuleElement,
-    OrbitElement,
     bar_d,
     d_basis,
     d_word,
     psi_monomial,
+    msym_expand,
     word_orbit,
 )
+from qtkostka.polyrep import ZPoly, from_module
 
 T = CoeffPoly.t_power(1)
 Q = CoeffPoly.q_power(1)
@@ -100,10 +103,10 @@ def test_omega_relations():
 def test_operator_words():
     # Phi_m = H_m ... H_{n-1} omega applied right to left
     x = ModuleElement.basis((1,), 3)
-    assert full_letter(x, 3, PHI) == x.omega()
-    assert full_letter(x, 2, PHI) == x.omega().hi(2)
-    assert full_letter(x, 1, PHI) == x.omega().hi(2).hi(1)
-    assert full_letter(x, 2, PHIBAR) == x.omega().hi_inv(2)
+    assert x.letters(3, PHI) == x.omega()
+    assert x.letters(2, PHI) == x.omega().hi(2)
+    assert x.letters(1, PHI) == x.omega().hi(2).hi(1)
+    assert x.letters(2, PHIBAR) == x.omega().hi_inv(2)
     # Z_1 = H_1^{-1} ... H_{n-1}^{-1} omega
     assert x.z_op(1) == x.omega().hi_inv(2).hi_inv(1)
     assert x.z_op(2) == x.hi(1).omega().hi_inv(2)
@@ -148,13 +151,13 @@ def test_letters_match_the_chain_oracle():
         for m in range(1, n + 1):
             phi = letter_chain(x, m, False)
             phibar = letter_chain(x, m, True)
-            assert full_letter(x, m, PHI) == phi, (label, m)
-            assert full_letter(x, m, PHIBAR) == phibar, (label, m)
+            assert x.letters(m, PHI) == phi, (label, m)
+            assert x.letters(m, PHIBAR) == phibar, (label, m)
             ka, a = rng.choice([-1, 2]), (rng.randint(-2, 2), rng.randint(0, 2))
             kb, b = rng.choice([-1, 2]), (rng.randint(-2, 2), rng.randint(0, 2))
             both = ((False, ka) + a, (True, kb) + b)
             want = phi.scale(CoeffPoly.monomial(ka, *a)) + phibar.scale(CoeffPoly.monomial(kb, *b))
-            assert full_letter(x, m, both) == want, (label, m)
+            assert x.letters(m, both) == want, (label, m)
             if form is not None:
                 assert form.letters(m, PHI).element == phi, (label, m)
                 assert form.letters(m, PHIBAR).element == phibar, (label, m)
@@ -168,7 +171,7 @@ def test_expansion_at_its_own_index_is_the_element_itself():
     # instances are immutable, so reading at one's own m copies nothing
     from qtkostka.kl import kl_element
 
-    for form in (e_orbit((2, 0, 1), 5), kl_element((1, 2), 5), OrbitElement(3, 3, {(1,): ONE})):
+    for form in (e_orbit((2, 0, 1), 5), kl_element((1, 2), 5), ModuleElement(3, {(1,): ONE})):
         assert form.expansion(form.m) is form
         if form.m < form.rank:
             assert form.expansion(form.m + 1) is not form
@@ -176,7 +179,7 @@ def test_expansion_at_its_own_index_is_the_element_itself():
 
 def test_a_letter_index_outside_the_rank_is_refused():
     # both ends, on the full basis (m = n) and on an orbit form below it
-    for form in (OrbitElement(3, 3, {(1,): ONE}), e_orbit((1,), 3)):
+    for form in (ModuleElement(3, {(1,): ONE}), e_orbit((1,), 3)):
         for c in (0, form.rank + 1):
             for letters in (PHI, PHIBAR):
                 with pytest.raises(ValueError, match="out of range"):
@@ -313,14 +316,87 @@ def test_json_round_trip_random(x):
 
 
 def test_orbit_element_is_read_only_and_unhashable():
-    x = OrbitElement(3, 1, {(1,): ONE})
+    x = ModuleElement(3, {(1,): ONE}, 1)
     with pytest.raises(AttributeError):
         x.m = 2
     with pytest.raises(TypeError):
         hash(x)
-    assert x == OrbitElement(3, 1, {(1,): ONE}) != OrbitElement(3, 2, {(1,): ONE})
-    # the cached element is stored on the instance all the same
-    assert x.element is x.element and "element" in vars(x)
+    assert x == ModuleElement(3, {(1,): ONE}, 1) != ModuleElement(3, {(1,): ONE}, 2)
+    # element is expanded on each read and stored nowhere: the instance has
+    # no dict to keep it in, and two reads are two equal objects
+    assert not hasattr(x, "__dict__")
+    assert x.element == x.element == x.expansion(3) and x.element is not x.element
+
+
+def _kl_twin():
+    el = kl_element((2, 1), 4)
+    return el, KLElement(el.rank, el.terms, el.m + 1, el.lam)
+
+
+@pytest.mark.parametrize("pair", [
+    # (instance, an instance equal to it in all but m, or in all but its class)
+    lambda: (ZPoly(3, {(1,): V}), ModuleElement(3, {(1,): V})),
+    lambda: (ModuleElement(3, {(1,): V}), ModuleElement(3, {(1,): V}, 1)),
+    lambda: (ModuleElement(3, {(1,): V}, 1), ModuleElement(3, {(1,): V}, 2)),
+    _kl_twin,
+], ids=["zpoly", "full", "orbit", "kl"])
+def test_one_vector_type_is_read_only_unhashable_and_pickles(pair):
+    x, twin = pair()
+    for name in ("rank", "terms", "m", "lam", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(TypeError):
+        hash(x)
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is type(x) and back == x and back.terms == x.terms
+    assert x != twin and twin != x
+    # a vector is the tuple of its fields, yet equal to no plain tuple, and
+    # no sequence: a key is no member and an integer does not repeat it
+    assert x != x[:] and not x == x[:]
+    for op in (len, list, lambda x: (1,) in x, lambda x: 2 * x, lambda x: x * 2):
+        with pytest.raises(TypeError):
+            op(x)
+    assert x.element == x.element and type(x.element) in (ZPoly, ModuleElement)
+
+
+def test_every_standard_basis_operation_below_the_rank_reads_the_expansion():
+    # each operation on an m < n element gives its value on expansion(rank),
+    # as a plain ModuleElement, never a KLElement without its lambda
+    cases = [e_orbit((2, 0, 1), 5), kl_element((1, 2), 5),
+             ModuleElement(3, {(1,): V, (2, 1): Q, (0, 3): ONE}, 1)]
+    for x in cases:
+        n = x.rank
+        full = x.expansion(n)
+        assert x.m < n and len(full.terms) > len(x.terms) and full.m == n
+        y = ModuleElement.basis((1,), n).scale(T)
+        pairs = [
+            (x.element, full),
+            (x.omega(), full.omega()),
+            (x + y, full + y), (y + x, y + full), (x - y, full - y), (y - x, y - full),
+            (x.scale(Q), full.scale(Q)), (x.scale(ZERO), full.scale(ZERO)),
+            (x.project(), full.project()),
+            (bar_d(x), bar_d(full)),
+        ]
+        pairs += [(x.hi(i), full.hi(i)) for i in range(1, n)]
+        pairs += [(x.hi_inv(i), full.hi_inv(i)) for i in range(1, n)]
+        pairs += [(x.z_op(i), full.z_op(i)) for i in range(1, n + 1)]
+        for got, want in pairs:
+            assert type(got) is ModuleElement and got == want, x
+        assert x.to_json() == full.to_json() and x.pretty() == full.pretty()
+        assert x.support() == full.support() and x
+        for key in full.terms:
+            assert x.coefficient(key) == full.coefficient(key), key
+        for m in range(x.m, n + 1):
+            got = msym_expand(x, m)
+            assert got == msym_expand(full, m) and got.terms == x.expansion(m).terms
+        assert from_module(x) == from_module(full)
+    with pytest.raises(ValueError):
+        ModuleElement(3, {(0, 1, 2): ONE}, 1)  # not a representative for m = 1
+    with pytest.raises(ValueError):
+        ModuleElement(3, {}, 4)
 
 
 def test_a_d_basis_row_does_not_share_the_word_orbit_terms():

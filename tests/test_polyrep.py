@@ -52,6 +52,21 @@ def test_swap_vars():
     assert f.swap_vars(1).swap_vars(1) == f
 
 
+def test_indices_outside_the_rank_are_refused():
+    # swap_vars takes 1..n-1, as hi does, and xi_eigenvalue 1..n, as cherednik_xi does
+    for f, i in [(ZPoly.monomial((1,), 3), 0), (ZPoly.monomial((0, 0, 1), 3), 3)]:
+        with pytest.raises(ValueError, match="out of range"):
+            f.swap_vars(i)
+        with pytest.raises(ValueError, match="out of range"):
+            f.hi(i)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            xi_eigenvalue((1,), 2, i)
+        with pytest.raises(ValueError, match="out of range"):
+            cherednik_xi(ZPoly.one(2), i)
+    assert xi_eigenvalue((1,), 2, 2) == CoeffPoly.t_power(-1)
+
+
 def test_hecke_action_on_polynomials():
     # symmetric polynomials are v^{-1}-eigenvectors
     f = ZPoly.monomial((1, 1), 2)

@@ -62,7 +62,6 @@ from .kostka import (
     marked_kostka,
     msym_basis,
     pair,
-    pair_truncated,
     psi_e_polynomial,
     quotients,
     scan,

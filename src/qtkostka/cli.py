@@ -25,8 +25,8 @@ from .compositions import (
     weight,
 )
 from .kl import kl_element
-from .kostka import charge_oracle, kostka, kostka_q0_check, kostka_via_schur, marked_kostka
-from .kostka import kostka_key, marked_key, scan as run_scan
+from .kostka import cached_value, charge_oracle, kostka, kostka_q0_check, kostka_via_schur
+from .kostka import scan as run_scan
 from .macdonald import duality_check, e_monomial, e_tilde, marked_sum_check, symmetric_j
 from .parabolic import ModuleElement
 from .polyrep import from_module
@@ -124,18 +124,15 @@ def kostka_cmd(lam_text, mu_text, with_marked, fmt):
     lam = _parse(lam_text)
     mu = _parse(mu_text)
     cdir = _env_cache()
-    key = kostka_key(lam, mu)
-    value = cached(cdir, "kostka", key, "value", CoeffPoly.from_json,
-                   lambda: kostka(lam, mu).value)
+    value = cached_value(lam, mu, cache_dir=cdir)
     rows = []
     if with_marked:
         for d in all_markings(mu):
             a_stat, l_stat = marking_stats(d)
-            mval = cached(cdir, "marked", marked_key(lam, d), "value", CoeffPoly.from_json,
-                          lambda: marked_kostka(lam, d))
-            rows.append((format_marked(d), a_stat, l_stat, mval))
+            rows.append((format_marked(d), a_stat, l_stat, cached_value(lam, mu, d, cdir)))
     if fmt == "json":
-        doc = {"format": 1, "lambda": key["lambda"], "mu": key["mu"], "value": value.to_json()}
+        doc = {"format": 1, "lambda": format_composition(lam), "mu": format_composition(mu),
+               "value": value.to_json()}
         if with_marked:
             doc["marked"] = [
                 {"marking": marks, "A": a, "L": l, "value": mval.to_json()}

@@ -9,7 +9,12 @@ as immutable; no method mutates self.
 
 Sums of products are accumulated in place by one kernel: add_product adds
 k v^a q^b (p r) into a plain terms dict, and finish drops the zeros and wraps
-the dict as a CoeffPoly without copying it.  The kernel takes each new
+the dict as a CoeffPoly without copying it; finish_all finishes a dict of
+such dicts and leaves out the zeros.  The ring operations use it too: +, -
+and * are each one add_product call and finish.  Only three methods sum
+terms in loops of their own: echo, the Hecke generators' hot path; shift,
+which maps each term to one term; and exact_div's remainder, whose shifted
+exponents would otherwise all enter _PAIRS.  The kernel takes each new
 exponent pair from one shared table (_PAIRS), so equal pairs in the
 coefficients it builds are one tuple object.  Keys are therefore shared
 between polynomials, and the dicts behind them may be memoized: no caller may
@@ -89,27 +94,13 @@ class CoeffPoly:
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = terms
-        return out
+        add_product(terms, other, ONE)
+        return finish(terms)
 
     def __sub__(self, other):
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) - c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = terms
-        return out
+        add_product(terms, other, ONE, -1)
+        return finish(terms)
 
     def __neg__(self):
         out = CoeffPoly.__new__(CoeffPoly)
@@ -117,21 +108,6 @@ class CoeffPoly:
         return out
 
     def __mul__(self, other):
-        # monomial factors are by far the common case in the Hecke actions
-        if len(other.terms) == 1:
-            ((a2, b2), c2), = other.terms.items()
-            out = CoeffPoly.__new__(CoeffPoly)
-            if a2 == 0 and b2 == 0:
-                if c2 == 1:
-                    return self
-                out.terms = {e: c * c2 for e, c in self.terms.items()}
-            else:
-                out.terms = {
-                    (a1 + a2, b1 + b2): c1 * c2 for (a1, b1), c1 in self.terms.items()
-                }
-            return out
-        if len(self.terms) == 1:
-            return other * self
         terms = {}
         add_product(terms, self, other)
         return finish(terms)
@@ -147,13 +123,6 @@ class CoeffPoly:
             base = base * base
             k >>= 1
         return result
-
-    def scale_int(self, c):
-        if c == 0:
-            return CoeffPoly.zero()
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = {e: c * x for e, x in self.terms.items()}
-        return out
 
     def shift(self, v_exp=0, q_exp=0):
         """Multiply by the monomial v^{v_exp} q^{q_exp}.
@@ -443,6 +412,16 @@ def finish(terms):
         del terms[e]
     out = CoeffPoly.__new__(CoeffPoly)
     out.terms = terms
+    return out
+
+
+def finish_all(acc):
+    """{key: finish(t)} over a dict of accumulated terms dicts, the zero coefficients left out."""
+    out = {}
+    for key, t in acc.items():
+        c = finish(t)
+        if c:
+            out[key] = c
     return out
 
 

@@ -76,6 +76,7 @@ from .coeffs import (
     ONE,
     add_product,
     finish,
+    finish_all,
     interned,
 )
 from .compositions import canonicalize, pad, partition_length
@@ -146,10 +147,7 @@ def _orbit_row(tau, m, n):
         add_product(sums.setdefault(sigma, {}), r, ONE, 1, -_tail_inversions(q[m:]))
     s_bar = _s_factor(tau, m, n).bar()
     out = {}
-    for sigma, t in sums.items():
-        a = finish(t)
-        if not a:
-            continue
+    for sigma, a in finish_all(sums).items():
         try:
             out[sigma] = interned((_s_factor(sigma, m, n) * a).exact_div(s_bar))
         except NonExactDivision:
@@ -214,7 +212,6 @@ def _quotient_solve(lam, n):
         pb = p.bar()
         for sigma, r in rows[tau].items():
             add_product(image[sigma], pb, r)
-    image = {sigma: finish(t) for sigma, t in image.items()}
-    if {sigma: c for sigma, c in image.items() if c} != coeffs:
+    if finish_all(image) != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
     return KLElement(n, coeffs, m, lam)

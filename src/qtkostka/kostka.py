@@ -9,9 +9,8 @@ factor b of the partition tail, exactly and once per memoized expansion
 certified stable under a rank bump.
 
 The module also carries the independent cross-check routes: Schur
-polynomials by tableau enumeration in place of the KL solver, the charge
-statistic for the q=0 partition case, and the truncated finite-rank pairing
-used as a convergence diagnostic.
+polynomials by tableau enumeration in place of the KL solver, and the
+charge statistic for the q=0 partition case.
 """
 
 from __future__ import annotations
@@ -88,15 +87,10 @@ def pair(x, yq):
     """
     if x.m != yq.m:
         raise ValueError("expansions live at different m")
-    return pair_truncated(x, yq)
-
-
-def pair_truncated(x, y):
-    """Plain orthonormal pairing of the coefficients of x and y at one rank."""
-    if x.rank != y.rank:
+    if x.rank != yq.rank:
         raise ValueError("rank mismatch")
     out = {}
-    y_terms = y.terms
+    y_terms = yq.terms
     for tau, xc in x.terms.items():
         yc = y_terms.get(tau)
         if yc is not None:
@@ -343,30 +337,34 @@ def psi_e_polynomial(mu):
     return all(c.is_v_polynomial() and c.is_q_polynomial() for c in coeffs)
 
 
-def kostka_key(lam, mu):
-    """The cache key of K_{lambda,mu}."""
-    return {"lambda": format_composition(lam), "mu": format_composition(mu)}
+def cached_value(lam, mu, d=None, cache_dir=None):
+    """K_{lambda,mu}, or its refinement over the marked diagram d, through the cache.
 
-
-def marked_key(lam, d):
-    """The cache key of the refinement of lambda over the marked diagram d."""
-    return {"lambda": format_composition(lam), "marked": format_marked(d)}
+    The one reader and writer of the value entries: kind "kostka" keyed by
+    lambda and mu, or kind "marked" keyed by lambda and d, the value under
+    the field "value".  With cache_dir None the value is computed and the
+    key is never formatted.
+    """
+    key = None
+    if cache_dir is not None:
+        key = {"lambda": format_composition(lam)}
+        if d is None:
+            key["mu"] = format_composition(mu)
+        else:
+            key["marked"] = format_marked(d)
+    return cached(cache_dir, "kostka" if d is None else "marked", key, "value",
+                  CoeffPoly.from_json,
+                  lambda: kostka(lam, mu).value if d is None else marked_kostka(lam, d))
 
 
 def _scan_value(lam, mu, d, cache_dir, records):
-    """K_{lambda,mu}, or its refinement over the marked diagram d, through the cache.
+    """cached_value, or None with an "internal" record in records on a failure.
 
     A value that fails a certificate (ConsistencyError, NonExactDivision) is
-    None, is not cached and becomes an "internal" record in records.  The
-    cache key is formatted only when there is a cache.
+    not cached.
     """
-    kind = "kostka" if d is None else "marked"
-    key = None
-    if cache_dir is not None:
-        key = kostka_key(lam, mu) if d is None else marked_key(lam, d)
     try:
-        return cached(cache_dir, kind, key, "value", CoeffPoly.from_json,
-                      lambda: kostka(lam, mu).value if d is None else marked_kostka(lam, d))
+        return cached_value(lam, mu, d, cache_dir)
     except (ConsistencyError, NonExactDivision) as exc:
         detail = type(exc).__name__ + (": %s" % exc if str(exc) else "")
         records.append(_violation("internal", lam, mu, None, detail, d))

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from operator import ge, itemgetter
 
-from .coeffs import ConsistencyError, ONE, add_product, finish, interned, shifted
+from .coeffs import ConsistencyError, ONE, add_product, finish_all, interned, shifted
 from .compositions import (
     canonicalize,
     format_composition,
@@ -129,6 +129,11 @@ class ModuleElement(SparseVector):
     def basis_name(self, lam):
         return "M^{(%s)}" % format_composition(lam)
 
+    def __repr__(self):
+        # pretty prints the element, so an index m < rank must show to tell elements apart
+        m = "" if self.m == self.rank else ", m=%d" % self.m
+        return "%s(rank=%d%s, %s)" % (type(self).__name__, self.rank, m, self.pretty())
+
     def expansion(self, m):
         """The same element at the symmetry index m >= self.m; self at m = self.m.
 
@@ -169,7 +174,7 @@ class ModuleElement(SparseVector):
                     if t is None:
                         t = acc[sigma] = {}
                     add_product(t, p, r, k, a, b)
-        terms = {sigma: interned(r) for sigma, r in _finish_all(acc).items()}
+        terms = {sigma: interned(r) for sigma, r in finish_all(acc).items()}
         return self._raw(n, terms, max(self.m, c))
 
     # -- generator action -------------------------------------------------------
@@ -293,16 +298,6 @@ def msym_expand(x, m):
     return ModuleElement._raw(n, reps, m)
 
 
-def _finish_all(acc):
-    """The nonzero finished coefficients of a dict of accumulated terms dicts."""
-    out = {}
-    for key, t in acc.items():
-        c = finish(t)
-        if c:
-            out[key] = c
-    return out
-
-
 @memoized
 def _orbit_image(tau, m, c, n, barred):
     """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
@@ -322,7 +317,7 @@ def _orbit_image(tau, m, c, n, barred):
         for u, r in _letter_row(p[c - 1 :], barred).items():
             add_product(acc.setdefault(prefix + u, {}), r, ONE, 1, e)
     try:
-        reps = msym_expand(ModuleElement._raw(n, _finish_all(acc)), max(m, c)).terms
+        reps = msym_expand(ModuleElement._raw(n, finish_all(acc)), max(m, c)).terms
     except MSymmetryViolation as exc:
         raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
                                  % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
@@ -411,4 +406,4 @@ def bar_d(x):
         cb = c.bar()
         for nu, r in d_basis(lam, x.rank).terms.items():
             add_product(acc.setdefault(nu, {}), r, cb)
-    return ModuleElement._raw(x.rank, _finish_all(acc))
+    return ModuleElement._raw(x.rank, finish_all(acc))

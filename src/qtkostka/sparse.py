@@ -38,7 +38,7 @@ class SparseVector(tuple):
     # the fields are read by name: a vector is no sequence and no repetition
     __iter__ = __len__ = __contains__ = __mul__ = __rmul__ = None
 
-    JSON_KEY = None  # name of the key field in to_json
+    JSON_KEY = None  # name of the key field in to_json, and so of the basis
 
     def __new__(cls, rank, terms=None, *more):
         """terms maps raw keys to coefficients; raw keys that trim alike are summed.
@@ -82,6 +82,8 @@ class SparseVector(tuple):
     # -- linear structure -------------------------------------------------------
 
     def __add__(self, other):
+        if self.JSON_KEY != other.JSON_KEY:
+            raise ValueError("vectors over different bases")
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         terms = dict(self.element.terms)

@@ -33,7 +33,6 @@ from qtkostka import (
     msym_basis,
     pad,
     pair,
-    pair_truncated,
     partition_length,
     sorting_data,
     weight,
@@ -278,5 +277,5 @@ def test_criterion_12_truncated_pairing_normalization():
         for d in range(4):
             for lam in partitions_of(d):
                 x = msym_basis(lam, 0, 8)
-                diff = pair_truncated(x, x) * CoeffPoly.b_partition(lam) - ONE
+                diff = pair(x, x) * CoeffPoly.b_partition(lam) - ONE
                 assert diff.is_zero() or diff.min_v_exp() >= 8, (lam, diff)

@@ -85,3 +85,41 @@ def test_ab_summary_verdicts():
     assert verdict([0.7] * 10, higher) == "worse"
     # no bound: never worse
     assert verdict([2.0] * 10, [{"name": "x", "better": "lower"}]) == "unresolved"
+
+
+def test_tier1_runs_the_tier1_command_in_the_checkout_and_reads_its_counts(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env["PYTHONPATH"]))
+        out = "....F.E\n=== short test summary info ===\n2 failed, 250 passed, 1 error in 61.20s\n"
+        return bench.subprocess.CompletedProcess(cmd, 1, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "extra")
+    out = bench.tier1("checkout")
+    assert calls == [(bench.TIER1, "checkout", "src" + bench.os.pathsep + "extra")]
+    assert bench.TIER1[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert out["passed"] == 250 and out["failed"] == 3 and out["wall_s"] >= 0
+
+
+def test_bench_stores_one_tier1_run_in_its_record(monkeypatch):
+    tier1_runs = []
+
+    def fake_perfbench(root, workload, seconds, trace, seed=0):
+        result = {"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}}}
+        return result, {"cpu": "x"}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        tier1_runs.append(cwd)
+        return bench.subprocess.CompletedProcess(cmd, 0, stdout="....\n4 passed in 0.50s\n")
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "load_spec", lambda root: {
+        "run_seconds": 1, "workloads": [{"name": "kl"}, {"name": "scan"}]})
+    record = bench.bench("checkout")
+    assert tier1_runs == ["checkout"]
+    assert record["tier1"]["passed"] == 4 and record["tier1"]["failed"] == 0
+    assert sorted(record["workloads"]) == ["kl", "scan"]

@@ -103,7 +103,7 @@ def test_internal_failure_is_exit_3(runner, monkeypatch):
     def boom(lam, mu):
         raise ConsistencyError("stability certificate failed")
 
-    monkeypatch.setattr(cli, "kostka", boom)
+    monkeypatch.setattr(sys.modules["qtkostka.kostka"], "kostka", boom)
     r = runner.invoke(cli.main, ["kostka", "--lambda", "2", "--mu", "1,1"])
     assert r.exit_code == 3
 
@@ -181,8 +181,9 @@ def test_cache_round_trip(runner, tmp_path, monkeypatch):
     assert (cache / "marked").is_dir()
 
     # a poisoned library would now be ignored in favor of the cache
-    monkeypatch.setattr(cli, "kostka", None)
-    monkeypatch.setattr(cli, "marked_kostka", None)
+    kostka_module = sys.modules["qtkostka.kostka"]
+    monkeypatch.setattr(kostka_module, "kostka", None)
+    monkeypatch.setattr(kostka_module, "marked_kostka", None)
     second = runner.invoke(cli.main, args)
     assert second.exit_code == 0
     assert second.output == first.output

@@ -31,6 +31,21 @@ polys = st.dictionaries(
 ).map(CoeffPoly)
 
 
+def naive_sum(items):
+    """The terms of sum k v^a q^b p r over items (k, a, b, p, r), zeros dropped.
+
+    The reference for the kernel and the ring operations built on it: one
+    term pair at a time into a plain dict, with fresh exponent tuples.
+    """
+    out = {}
+    for k, a, b, p, r in items:
+        for (a1, b1), x in p.terms.items():
+            for (a2, b2), y in r.terms.items():
+                e = (a + a1 + a2, b + b1 + b2)
+                out[e] = out.get(e, 0) + k * x * y
+    return {e: c for e, c in out.items() if c}
+
+
 def test_constructors():
     assert CoeffPoly.integer(0) == ZERO
     assert CoeffPoly.integer(1) == ONE
@@ -49,7 +64,7 @@ def test_arithmetic_basics():
     assert (V + Q) - (V + Q) == ZERO
     assert (ONE - T * Q) * ONE == ONE - T * Q
     assert ZERO * (V + Q) == ZERO
-    assert (V + VINV) ** 2 == T + ONE.scale_int(2) + T.shift(v_exp=-4)
+    assert (V + VINV) ** 2 == T + CoeffPoly.integer(2) + T.shift(v_exp=-4)
     assert -(V - VINV) == VINV - V
     assert bool(ZERO) is False and bool(V) is True
 
@@ -58,7 +73,7 @@ def test_shift_and_scale():
     p = ONE + T * Q
     assert p.shift(v_exp=2) == T + T * T * Q
     assert p.shift(q_exp=1) == Q + T * Q * Q
-    assert p.scale_int(3) == ONE.scale_int(3) + (T * Q).scale_int(3)
+    assert p * CoeffPoly.integer(3) == CoeffPoly.integer(3) + T * Q * CoeffPoly.integer(3)
     assert V.shift(v_exp=-1) == ONE
 
 
@@ -134,7 +149,7 @@ def test_pretty():
 
 
 def test_json_round_trip():
-    p = T - (V * Q).scale_int(2) + CoeffPoly.monomial(5, -3, 2)
+    p = T - V * Q * CoeffPoly.integer(2) + CoeffPoly.monomial(5, -3, 2)
     data = p.to_json()
     assert isinstance(data, list)
     assert CoeffPoly.from_json(data) == p
@@ -151,6 +166,9 @@ def test_json_entries_with_one_exponent_pair_are_summed():
 @given(polys, polys, polys)
 @settings(max_examples=120, deadline=None)
 def test_ring_axioms(a, b, c):
+    assert (a + b).terms == naive_sum([(1, 0, 0, a, ONE), (1, 0, 0, b, ONE)])
+    assert (a - b).terms == naive_sum([(1, 0, 0, a, ONE), (-1, 0, 0, b, ONE)])
+    assert (a * b).terms == naive_sum([(1, 0, 0, a, b)])
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
@@ -196,12 +214,10 @@ products = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_add_product_is_the_fold_of_sum_and_product(items):
     terms = {}
-    want = ZERO
     for k, a, b, p, r in items:
         add_product(terms, p, r, k, a, b)
-        want = want + CoeffPoly.monomial(k, a, b) * p * r
     got = finish(terms)
-    assert got == want
+    assert got.terms == naive_sum(items)
     assert 0 not in got.terms.values()
     # every product, then its negation: the sum cancels to the zero polynomial
     terms = {}
@@ -220,6 +236,18 @@ def test_shift_takes_its_exponent_pairs_from_the_shared_table(p, a, b):
         assert all(_PAIRS[e] is e for e in got.terms)
     else:
         assert got is p
+
+
+@given(polys, polys, st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_sums_and_products_take_their_exponent_pairs_from_the_shared_table(a, b, k, v, q):
+    mono = CoeffPoly.monomial(k or 1, v, q)
+    # a product builds every key; a monomial factor, the unit among them, is no exception
+    for got in (a * b, a * mono, mono * a, a * ONE, a * CoeffPoly.integer(2)):
+        assert all(_PAIRS.get(e) is e for e in got.terms)
+    # a sum or difference keeps the keys of a and builds the rest
+    for got in (a + b, a - b, a + mono, a - mono):
+        assert all(_PAIRS.get(e) is e for e in got.terms if e not in a.terms)
 
 
 def test_the_shift_memo_keeps_its_coefficient_and_is_one_object_per_value():

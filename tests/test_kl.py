@@ -282,7 +282,7 @@ def test_division_remainder_is_caught(cold, monkeypatch):
     # with s_tau scaled by 1 + 2v, bar(s_tau) leaves a remainder on the diagonal
     real = kl_module._s_factor
     monkeypatch.setattr(
-        kl_module, "_s_factor", lambda tau, m, n: real(tau, m, n) * (ONE + V.scale_int(2))
+        kl_module, "_s_factor", lambda tau, m, n: real(tau, m, n) * (ONE + V * CoeffPoly.integer(2))
     )
     with pytest.raises(ConsistencyError, match="does not divide"):
         kl_element((2, 1), 4)

@@ -36,7 +36,6 @@ from qtkostka.kostka import (
     marked_kostka,
     msym_basis,
     pair,
-    pair_truncated,
     psi_e_polynomial,
     quotients,
     scan,
@@ -259,9 +258,10 @@ def test_planted_remainder_is_an_internal_scan_record():
     ]
 
 
-def test_pair_truncated_geometric():
+def test_pair_geometric():
+    # two full elements (m = rank): the sum of the squared coefficients
     a = msym_basis((1,), 0, 3)
-    assert pair_truncated(a, a) == ONE + T + T * T
+    assert pair(a, a) == ONE + T + T * T
 
 
 def test_weight2_table():

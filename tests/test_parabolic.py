@@ -274,6 +274,29 @@ def test_pretty():
     assert ModuleElement.basis((), 2).pretty() == "1"
 
 
+def test_repr_shows_an_index_below_the_rank():
+    # one element at two indices: unequal, so they must not print alike
+    one, two = (ModuleElement(3, {(1,): ONE}, m) for m in (1, 2))
+    assert one != two
+    assert repr(one) == "ModuleElement(rank=3, m=1, M^{(1)})"
+    assert repr(two) == "ModuleElement(rank=3, m=2, M^{(1)})"
+    assert repr(ModuleElement(3, {(1,): ONE})) == "ModuleElement(rank=3, M^{(1)})"
+
+
+def test_vectors_over_different_bases_do_not_add():
+    x = ModuleElement.basis((1,), 3)
+    z = ZPoly.monomial((1,), 3)
+    for a, b in ((x, z), (z, x)):
+        with pytest.raises(ValueError, match="different bases"):
+            a + b
+        with pytest.raises(ValueError, match="different bases"):
+            a - b
+    # a KL element is an element of the module: it adds to one
+    kl = kl_element((1,), 3)
+    assert (kl + x) - x == kl.element
+    assert (x + kl).coefficient((1,)) == ONE + ONE
+
+
 @given(elements(3), st.integers(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_hi_roundtrip_random(x, i):

@@ -6,11 +6,13 @@ Usage: python3 tools/bench.py --pr N [--root DIR] [--label TEXT]
 
 For each workload of BENCHMARK.json, runs the perfbench/run.py of the
 checkout at DIR (default: this repository) twice, untraced and then traced,
-with seed 0 and the run length BENCHMARK.json sets.  One run record is
-appended to BENCH_<N>.json at the root of this repository: the label, the
-machine as perfbench reports it, and per workload the correctness counts,
-the end-to-end medians and the per-layer metrics.  perfbench is run as it
-is, in its own checkout; nothing in it is changed.
+with seed 0 and the run length BENCHMARK.json sets, and then runs the
+checkout's Tier-1 tests once (TIER1).  One run record is appended to
+BENCH_<N>.json at the root of this repository: the label, the machine as
+perfbench reports it, per workload the correctness counts, the end-to-end
+medians and the per-layer metrics, and under "tier1" the passed and failed
+test counts with the wall time of the test run.  perfbench is run as it is,
+in its own checkout; nothing in it is changed.
 
 With --ab, K pairs of untraced runs of each workload W compare the checkout
 at PARENT_DIR with the one at DIR; --workload may be given more than once,
@@ -28,12 +30,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 0
+# the Tier-1 command of ROADMAP.md, run in the checkout with its src first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_perfbench(root, workload, seconds, trace, seed=SEED):
@@ -48,6 +54,21 @@ def run_perfbench(root, workload, seconds, trace, seed=SEED):
     machine = next((json.loads(line[len("machine "):]) for line in lines
                     if line.startswith("machine ")), None)
     return json.loads(lines[-1]), machine
+
+
+def tier1(root):
+    """passed, failed (errors included) and wall_s of one Tier-1 run of the checkout at root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {"passed": 0, "failed": 0}
+    # pytest's last line, e.g. "1 failed, 250 passed, 1 error in 61.20s"
+    for count, word in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        counts["passed" if word == "passed" else "failed"] += int(count)
+    return dict(counts, wall_s=round(wall, 3))
 
 
 def values(result):
@@ -75,7 +96,8 @@ def bench(root):
             "end_to_end": values(plain),
             "per_layer": values(traced),
         }
-    return {"seed": SEED, "seconds": seconds, "machine": machine, "workloads": workloads}
+    return {"seed": SEED, "seconds": seconds, "machine": machine, "workloads": workloads,
+            "tier1": tier1(root)}
 
 
 def quartiles(xs):
@@ -200,8 +222,9 @@ def main(argv=None):
     data["runs"].append(record)
     save()
     bad = [name for name, w in record["workloads"].items() if not w["correct"]]
-    print("%s: %d workloads recorded%s" % (path, len(record["workloads"]),
-                                            ", incorrect: " + " ".join(bad) if bad else ""))
+    print("%s: %d workloads recorded%s; tier1 %d passed, %d failed in %.1f s"
+          % (path, len(record["workloads"]), ", incorrect: " + " ".join(bad) if bad else "",
+             record["tier1"]["passed"], record["tier1"]["failed"], record["tier1"]["wall_s"]))
     return 1 if bad else 0
 
 

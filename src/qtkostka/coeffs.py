@@ -27,7 +27,12 @@ a coefficient is replaced by interned(c), the one object of its value, and
 the shifted copies of the orbit expansions come from the shift memo
 shifted(p, e).  One CoeffPoly is therefore held by many memos at once, so
 nothing may mutate a CoeffPoly or its terms once it is built: a change
-would reach every holder.
+would reach every holder.  memo_shift(p, e) peeks at the shift memo without
+inserting: it returns the memo's copy of p v^e, or None.  A memo entry keeps
+p, so no other object takes id(p) while the entry lives, and the copy is
+interned(p v^e), equal to p v^e; a coefficient that is that very object
+therefore has the value p v^e, which msym_expand uses to accept an orbit
+key without comparing its terms.
 """
 
 from __future__ import annotations
@@ -403,6 +408,17 @@ def shifted(p, e):
     if hit is None:
         hit = _SHIFTS[key] = (p, interned(p.shift(v_exp=e)))
     return hit[1]
+
+
+def memo_shift(p, e):
+    """The shift memo's copy of p v^e, shifted(p, e), if it holds one, else None.
+
+    A peek: it never inserts.  p itself at e = 0, as shifted gives it.
+    """
+    if not e:
+        return p
+    hit = _SHIFTS.get((id(p), e))
+    return None if hit is None else hit[1]
 
 
 def finish(terms):

@@ -38,13 +38,18 @@ def default_rank(lam):
     return max(len(lam) + weight(lam) + 1, 2)
 
 
+@memoized
 def partition_length(lam):
-    """pl(lambda): least m such that the tail lambda_{>m} is weakly decreasing."""
-    for m in range(len(lam) + 1):
-        tail = lam[m:]
-        if all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)):
-            return m
-    return len(lam)  # unreachable; a length-0 tail is always a partition
+    """pl(lambda): least m such that the tail lambda_{>m} is weakly decreasing.
+
+    It is the i of the last strict ascent lambda_i < lambda_{i+1}, or 0
+    without one.  lambda is a representative for m exactly when pl(lambda)
+    <= m.  Memoized per key, since msym_expand asks it of every key it reads.
+    """
+    for i in range(len(lam) - 1, 0, -1):
+        if lam[i - 1] < lam[i]:
+            return i
+    return 0
 
 
 def pad(lam, n):

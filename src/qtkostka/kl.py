@@ -206,12 +206,21 @@ def _quotient_solve(lam, n):
             if nu != sigma:
                 add_product(acc[nu], pb, r)
 
-    # self-duality from scratch: d(el) = sum_tau bar(p_tau) R[tau] must be el
-    image = {sigma: {} for sigma in order}
+    _selfdual_check(lam, n, rows, coeffs)
+    return KLElement(n, coeffs, m, lam)
+
+
+def _selfdual_check(lam, n, rows, coeffs):
+    """Self-duality from scratch: d(el) = sum_tau bar(p_tau) R[tau] must be el.
+
+    rows maps every representative of the solve to its orbit row R[tau] and
+    coeffs maps the representatives to the solved p_tau; a mismatch raises
+    ConsistencyError.
+    """
+    image = {sigma: {} for sigma in rows}
     for tau, p in coeffs.items():
         pb = p.bar()
         for sigma, r in rows[tau].items():
             add_product(image[sigma], pb, r)
     if finish_all(image) != coeffs:
         raise ConsistencyError("M^_%r at rank %d is not self-dual" % (lam, n))
-    return KLElement(n, coeffs, m, lam)

@@ -75,9 +75,9 @@ Every memo here comes from memo.py, which also clears them.
 
 from __future__ import annotations
 
-from operator import ge, itemgetter
+from operator import itemgetter
 
-from .coeffs import ConsistencyError, ONE, add_product, finish_all, interned, shifted
+from .coeffs import ConsistencyError, ONE, add_product, finish_all, interned, memo_shift, shifted
 from .compositions import (
     canonicalize,
     format_composition,
@@ -253,7 +253,18 @@ def msym_expand(x, m):
     tau's orbit, walked with compositions.orbit as expansion walks it, every
     key kappa must hold v^{inv(kappa) - inv(tau)} x_tau, and every key of x
     must lie on a walked orbit, else MSymmetryViolation names the first bad
-    key.  That is H_i x = v^-1 x for every i > m:
+    key.
+
+    Per offset e the reference for p = x_tau is the shift memo's copy of
+    p v^e (coeffs.memo_shift, which never inserts), else p.shift(v_exp=e).
+    A key holding that very object is accepted; any other object is
+    compared with it term by term.  Identity implies have == p v^e: the memo entry
+    keeps p, so id(p) is not reused while the entry lives and the entry
+    belongs to p; its copy is interned(p v^e), equal in value to p v^e; and
+    no CoeffPoly is mutated once built (coeffs.py).  An element that
+    expansion(m) built from its orbit form holds exactly these copies.
+
+    The check holds exactly when H_i x = v^-1 x for every i > m:
 
     - (<=) Take a block {kappa, s_i kappa} with i > m and kappa_i <
       kappa_{i+1}.  Swapping removes exactly one strict ascending pair, so
@@ -274,18 +285,18 @@ def msym_expand(x, m):
     reps = {}
     walked = 0
     for tau, p in terms.items():
-        tail = tau[m:]
-        if not all(map(ge, tail, tail[1:])):
+        if partition_length(tau) > m:
             continue
         reps[tau] = p
-        # one shifted copy per offset; each key is compared with its terms
-        shifted = {0: p.terms}
+        # one p v^e per offset: the shift memo's copy, else a shifted copy
+        wants = {}
         for kappa, e in orbit(tau, m, n):
-            want = shifted.get(e)
+            want = wants.get(e)
             if want is None:
-                want = shifted[e] = p.shift(v_exp=e).terms
+                want = memo_shift(p, e)
+                want = wants[e] = p.shift(v_exp=e) if want is None else want
             have = terms.get(kappa)
-            if have is None or have.terms != want:
+            if have is not want and (have is None or have.terms != want.terms):
                 raise MSymmetryViolation(
                     "coefficient at %r is off its orbit; not %d-symmetric" % (kappa, m))
             walked += 1

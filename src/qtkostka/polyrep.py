@@ -15,7 +15,16 @@ standard basis along the Bruhat order.
 
 from __future__ import annotations
 
-from .coeffs import CoeffPoly, ONE, VINV, V_MINUS_VINV
+from .coeffs import (
+    CoeffPoly,
+    ConsistencyError,
+    ONE,
+    VINV,
+    V_MINUS_VINV,
+    add_product,
+    finish,
+    finish_all,
+)
 from .bruhat import min_rep_length
 from .compositions import canonicalize, pad, sorting_data, swap
 from .parabolic import ModuleElement, psi_monomial
@@ -130,27 +139,62 @@ def xi_eigenvalue(lam, n, i):
 
 
 def to_module(f):
-    """Push a polynomial into the parabolic module along the monomial images."""
-    out = ModuleElement.zero(f.rank)
+    """Push a polynomial into the parabolic module along the monomial images.
+
+    sum_tau f_tau psi(z^tau), accumulated in place: one add_product per
+    entry of each image.
+    """
+    n = f.rank
+    acc = {}
     for tau, c in f.terms.items():
-        out = out + psi_monomial(tau, f.rank).scale(c)
-    return out
+        for lam, r in psi_monomial(tau, n).element.terms.items():
+            add_product(acc.setdefault(lam, {}), r, c)
+    return ModuleElement._raw(n, finish_all(acc))
 
 
 def from_module(x):
     """Invert to_module by peeling along a linear extension of the Bruhat order.
 
-    The monomial image of z^mu has leading coefficient v^{-l(w^mu)} on M^mu,
-    so peeling from the top (largest minimal-coset-rep length first) works.
+    psi(z^mu) is v^{-inv(mu)} M^mu plus keys strictly below mu in the
+    Bruhat order, so strictly shorter in min_rep_length.  The remainder,
+    one terms dict per key, is peeled in place one level of min_rep_length
+    at a time, from the top: at a key mu with remainder c != 0 the
+    coefficient of z^mu is a = v^{inv(mu)} c, and psi(z^mu) a is subtracted
+    with add_product.  Every peel is certified, else ConsistencyError: the
+    remainder at mu must cancel exactly, and every other key of psi(z^mu)
+    that is not pending must lie below mu's level.  A peeled key therefore
+    never comes back, each key is peeled at most once, and the loop ends
+    with x = sum_mu a_mu psi(z^mu) exactly.
     """
     n = x.rank
-    rem = x.element
+    rem = {}
+    levels = {}
+    for lam, c in x.element.terms.items():
+        rem[lam] = dict(c.terms)
+        levels.setdefault(min_rep_length(lam, n), []).append(lam)
     acc = {}
-    while rem.terms:
-        mu = max(rem.terms, key=lambda lam: min_rep_length(lam, n))
-        a = rem.terms[mu] * CoeffPoly.v_power(sorting_data(mu, n).inversions)
-        acc[mu] = a
-        rem = rem - psi_monomial(mu, n).scale(a)
+    for level in range(max(levels, default=-1), -1, -1):
+        for mu in levels.pop(level, ()):
+            c = finish(rem.pop(mu))
+            if not c:
+                continue
+            a = acc[mu] = c.shift(v_exp=sorting_data(mu, n).inversions)
+            image = psi_monomial(mu, n).element.terms
+            lead = image.get(mu)
+            if lead is None or lead * a != c:
+                raise ConsistencyError("peeling z^%r leaves a remainder at M^%r" % (mu, mu))
+            for lam, r in image.items():
+                t = rem.get(lam)
+                if t is None:
+                    if lam == mu:
+                        continue
+                    below = min_rep_length(lam, n)
+                    if below >= level:
+                        raise ConsistencyError(
+                            "psi(z^%r) reaches M^%r, not below it" % (mu, lam))
+                    t = rem[lam] = {}
+                    levels.setdefault(below, []).append(lam)
+                add_product(t, r, a, -1)
     return ZPoly(n, acc)
 
 

@@ -123,3 +123,40 @@ def test_bench_stores_one_tier1_run_in_its_record(monkeypatch):
     assert tier1_runs == ["checkout"]
     assert record["tier1"]["passed"] == 4 and record["tier1"]["failed"] == 0
     assert sorted(record["workloads"]) == ["kl", "scan"]
+
+
+def test_inproc_alternates_child_processes_and_reads_min_median_and_digest(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append((cwd, cmd[-3:]))
+        assert cmd[:3] == [bench.sys.executable, "-c", bench.INPROC_CHILD] and cmd[3] == cwd
+        times = [0.2, 0.1, 0.3] if cwd == "/parent" else [0.09, 0.08, 0.1]
+        out = 'noise\n{"times": %s, "digests": ["abc"]}\n' % times
+        return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    pairs = list(bench.inproc("/parent", "/change", "macdonald", 2, 3))
+    assert [p["order"] for p in pairs] == [["parent", "change"], ["change", "parent"]]
+    assert pairs[0]["parent"] == {"min": 0.1, "median": 0.2, "digests": ["abc"]}
+    assert pairs[1]["change"] == {"min": 0.08, "median": 0.09, "digests": ["abc"]}
+    assert calls == [("/parent", ["macdonald", "3", "0"]), ("/change", ["macdonald", "3", "0"]),
+                     ("/change", ["macdonald", "3", "1"]), ("/parent", ["macdonald", "3", "1"])]
+    calls.clear()
+    assert bench.main(["--inproc", "macdonald", "--ab", "/parent", "--root", "/change",
+                       "--pairs", "2", "--reps", "3"]) == 0
+    assert len(calls) == 4
+    out = capsys.readouterr().out
+    assert "ratio 0.800, outputs abc" in out
+    assert "median 0.800, change won 2/2, same outputs" in out
+
+
+def test_inproc_fails_when_the_outputs_differ(monkeypatch, capsys):
+    def fake_run(cmd, cwd, **kwargs):
+        out = '{"times": [0.1], "digests": ["%s"]}\n' % ("a" if cwd == "/parent" else "b")
+        return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--inproc", "kl", "--ab", "/parent", "--root", "/change",
+                       "--pairs", "1", "--reps", "1"]) == 1
+    assert "outputs DIFFER" in capsys.readouterr().out

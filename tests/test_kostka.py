@@ -14,7 +14,17 @@ import qtkostka
 
 from qtkostka import MSymmetryViolation, msym_expand
 from qtkostka.cache import cache_path, cache_put
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, NonExactDivision, ONE, V, VINV, ZERO
+from qtkostka.coeffs import (
+    _SHIFTS,
+    CoeffPoly,
+    ConsistencyError,
+    NonExactDivision,
+    ONE,
+    V,
+    VINV,
+    ZERO,
+    memo_shift,
+)
 from qtkostka.compositions import (
     MarkedDiagram,
     all_markings,
@@ -22,6 +32,7 @@ from qtkostka.compositions import (
     compositions_of,
     default_rank,
     format_marked,
+    orbit,
     pad,
     partition_length,
 )
@@ -164,6 +175,59 @@ def test_msym_expand_needs_every_key_on_a_walked_orbit():
                 count += 1
                 strays += key is not None
     assert strays >= 300 and count >= 2000
+
+
+def _memo_held(el, m, reps):
+    """(tau, kappa, e) for each key kappa of el holding the shift memo's copy of p_tau v^e."""
+    n = el.rank
+    return [(tau, kappa, e) for tau, p in reps.items() for kappa, e in orbit(tau, m, n)
+            if e and el.terms[kappa] is memo_shift(p, e)]
+
+
+def test_msym_expand_accepts_the_shift_memos_copy_by_identity_and_nothing_else():
+    counts = dict.fromkeys(("fresh", "swapped", "foreign", "wrong"), 0)
+    for label, el, m in _msym_elements(3):
+        n = el.rank
+        size = len(_SHIFTS)
+        reps = msym_expand(el, m).terms
+        assert len(_SHIFTS) == size, label
+        held = _memo_held(el, m, reps)
+        for tau, kappa, e in held:
+            c = el.terms[kappa]
+            # a fresh object equal in value passes, and the peek inserts nothing
+            terms = dict(el.terms)
+            terms[kappa] = CoeffPoly(dict(c.terms))
+            assert msym_expand(ModuleElement(n, terms), m).terms == reps, (label, kappa)
+            assert len(_SHIFTS) == size, (label, kappa)
+            counts["fresh"] += 1
+            bad = []
+            # the object of a key at another offset of the same orbit
+            bad += [("swapped", kappa2) for t, kappa2, e2 in held if t == tau and e2 != e][:1]
+            # another representative's memo copy at the same offset, a different value
+            bad += [("foreign", tau2) for tau2, p2 in reps.items()
+                    if tau2 != tau and memo_shift(p2, e) not in (None, c)][:1]
+            bad.append(("wrong", None))
+            for case, other in bad:
+                terms = dict(el.terms)
+                if case == "swapped":
+                    terms[kappa], terms[other] = terms[other], terms[kappa]
+                elif case == "foreign":
+                    terms[kappa] = memo_shift(reps[other], e)
+                else:
+                    terms[kappa] = c.shift(v_exp=1)
+                with pytest.raises(MSymmetryViolation, match="not %d-symmetric" % m):
+                    msym_expand(ModuleElement(n, terms), m)
+                counts[case] += 1
+    assert min(counts.values()) >= 1000, counts
+
+
+def test_msym_expand_of_a_fresh_element_inserts_nothing_into_the_shift_memo():
+    for label, el, m in _msym_elements(3):
+        fresh = ModuleElement(el.rank, {k: CoeffPoly(dict(c.terms)) for k, c in el.terms.items()})
+        size = len(_SHIFTS)
+        assert msym_expand(fresh, m) == msym_expand(el, m), label
+        assert not _memo_held(fresh, m, msym_expand(fresh, m).terms), label
+        assert len(_SHIFTS) == size, label
 
 
 def _rep(kappa, m, n):

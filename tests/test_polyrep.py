@@ -1,10 +1,14 @@
 """Tests for the polynomial representation and the Cherednik operators."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtkostka.coeffs import CoeffPoly, ONE, V, VINV
-from qtkostka.compositions import compositions_of, pad, sorting_data
+from qtkostka import polyrep
+from qtkostka.bruhat import min_rep_length
+from qtkostka.coeffs import CoeffPoly, ConsistencyError, ONE, V, VINV
+from qtkostka.compositions import canonicalize, compositions_of, pad, sorting_data
 from qtkostka.macdonald import e_monomial
 from qtkostka.parabolic import ModuleElement, bar_d
 from qtkostka.polyrep import (
@@ -172,3 +176,43 @@ def test_hecke_random(f, i):
 def test_psi_round_trip_random(f):
     assert from_module(to_module(f)) == f
     assert ZPoly.from_json(f.to_json()) == f
+
+
+def _patch_psi(monkeypatch, target, change):
+    """Make polyrep's psi_monomial return change(psi(z^target)) at target."""
+    real = polyrep.psi_monomial
+
+    def psi(mu, n):
+        x = real(mu, n)
+        return change(x) if canonicalize(mu) == target else x
+
+    monkeypatch.setattr(polyrep, "psi_monomial", psi)
+
+
+def test_from_module_certifies_that_every_peel_cancels(monkeypatch):
+    # a leading coefficient scaled by v leaves a remainder at mu on every
+    # peel; without the certificate mu would be peeled forever
+    f = sum((ZPoly.monomial(lam, 3, CoeffPoly.integer(k + 1))
+             for k, lam in enumerate(compositions_of(3, 3))), ZPoly.zero(3))
+    x = to_module(f)
+    assert from_module(x) == f
+    for mu in f.terms:
+        with monkeypatch.context() as patch:
+            _patch_psi(patch, mu, lambda y: ModuleElement(
+                3, {**y.terms, mu: y.terms[mu].shift(v_exp=1)}))
+            with pytest.raises(ConsistencyError, match=re.escape("remainder at M^%r" % (mu,))):
+                from_module(x)
+
+
+def test_from_module_certifies_that_no_peeled_key_comes_back(monkeypatch):
+    # the image of the lowest key reaches the top one, peeled before it
+    n = 3
+    f = sum((ZPoly.monomial(lam, n) for lam in compositions_of(3, n)), ZPoly.zero(n))
+    x = to_module(f)
+    by_level = sorted(f.terms, key=lambda lam: min_rep_length(lam, n))
+    low, top = by_level[0], by_level[-1]
+    assert min_rep_length(low, n) < min_rep_length(top, n)
+    with monkeypatch.context() as patch:
+        _patch_psi(patch, low, lambda y: y + ModuleElement.basis(top, n))
+        with pytest.raises(ConsistencyError, match=re.escape("reaches M^%r, not below" % (top,))):
+            from_module(x)

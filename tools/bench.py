@@ -3,6 +3,8 @@
 Usage: python3 tools/bench.py --pr N [--root DIR] [--label TEXT]
        python3 tools/bench.py --pr N [--root DIR] --ab PARENT_DIR --workload W
                               [--workload W2 ...] [--pairs K]
+       python3 tools/bench.py --inproc W --ab PARENT_DIR [--root DIR] [--pairs K]
+                              [--reps R]
 
 For each workload of BENCHMARK.json, runs the perfbench/run.py of the
 checkout at DIR (default: this repository) twice, untraced and then traced,
@@ -23,6 +25,18 @@ record under "ab" in BENCH_<N>.json is rewritten after every pair: per
 workload, each pair's end-to-end medians per side, and per metric the median
 of the K ratios change/parent with the number of pairs the change won and a
 verdict: gain, worse or unresolved (see verdict).
+
+With --inproc W, K pairs of child processes compare the checkouts at
+PARENT_DIR and DIR on workload W in process, pair k with seed k and the side
+that runs first alternating.  Each child imports its checkout's src and
+perfbench/workloads.py and times the workload's run R times, each after
+clear_caches and with a fresh working directory; set-up, start-up and
+outputs stay outside the clock.  Per pair and side it prints the min and the median of the R times
+and the digest of the outputs, then the median over the pairs of the ratio
+of the mins, change/parent, with the pairs the change won.  Nothing is
+written.  The min of R reads changes smaller than the spread of perfbench's
+cold runs.  The exit code is 1 when the two sides of a pair, or two runs of
+one side, give different outputs digests.
 """
 
 from __future__ import annotations
@@ -177,16 +191,96 @@ def ab(parent, change, workloads, pairs, label):
         yield record
 
 
+# one child of --inproc: argv is root, workload, reps and seed; prints one JSON line
+INPROC_CHILD = """
+import json, os, sys, tempfile, time
+root, workload, reps, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+import qtkostka as Q
+import workloads
+prepare, run, outputs = workloads.WORKLOADS[workload]
+times, digests = [], set()
+for _ in range(reps):
+    with tempfile.TemporaryDirectory() as work:
+        spec = {"size": "full", "seed": seed, "workdir": work,
+                "cache_dir": os.path.join(work, "cache")}
+        inputs = prepare(Q, spec)
+        Q.clear_caches()
+        t0 = time.perf_counter()
+        produced = run(Q, inputs, {})
+        times.append(time.perf_counter() - t0)
+        digests.add(workloads.canonical_digest(outputs(Q, inputs, produced)))
+print(json.dumps({"times": times, "digests": sorted(digests)}))
+"""
+
+
+def inproc_side(root, workload, reps, seed):
+    """min, median and outputs digests of reps in-process runs of workload at root."""
+    cmd = [sys.executable, "-c", INPROC_CHILD, root, workload, str(reps), str(seed)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit("in-process %s at %s exited %d: %s"
+                         % (workload, root, proc.returncode, proc.stderr[-400:]))
+    out = json.loads(lines[-1])
+    return {"min": min(out["times"]), "median": statistics.median(out["times"]),
+            "digests": out["digests"]}
+
+
+def inproc(parent, change, workload, pairs, reps):
+    """Yield one pair {"seed", "order", "parent", "change"} of in-process runs at a time.
+
+    Pair k runs both sides with seed k, the side that runs first alternating.
+    """
+    roots = {"parent": parent, "change": change}
+    for k in range(pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        pair = {"seed": k, "order": list(order)}
+        for side in order:
+            pair[side] = inproc_side(roots[side], workload, reps, k)
+        yield pair
+
+
+def main_inproc(args):
+    ratios = []
+    differ = 0
+    for k, pair in enumerate(inproc(os.path.abspath(args.ab), os.path.abspath(args.root),
+                                    args.inproc, args.pairs, args.reps), start=1):
+        a, c = pair["parent"], pair["change"]
+        ratios.append(c["min"] / a["min"])
+        same = len(a["digests"]) == 1 and a["digests"] == c["digests"]
+        differ += not same
+        print("pair %d/%d %s: parent min %.4f median %.4f, change min %.4f median %.4f, "
+              "ratio %.3f, outputs %s" % (
+                  k, args.pairs, args.inproc, a["min"], a["median"], c["min"], c["median"],
+                  ratios[-1], a["digests"][0][:16] if same else "DIFFER"), flush=True)
+    wins = sum(1 for r in ratios if r < 1)
+    print("%s: %d pairs of %d runs, min ratio change/parent median %.3f, change won %d/%d, %s"
+          % (args.inproc, len(ratios), args.reps, statistics.median(ratios), wins, len(ratios),
+             "outputs differ in %d pairs" % differ if differ else "same outputs"))
+    return 1 if differ else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pr", type=int, required=True, help="number of the BENCH file")
+    ap.add_argument("--pr", type=int, help="number of the BENCH file; not used by --inproc")
     ap.add_argument("--root", default=REPO, help="checkout to benchmark (default: this one)")
     ap.add_argument("--label", default="", help="what the checkout is, e.g. parent or change")
     ap.add_argument("--ab", metavar="PARENT_DIR", help="compare against this checkout")
     ap.add_argument("--workload", action="append",
                     help="a workload of an --ab comparison; give it once per workload")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of an --ab comparison")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="pairs of an --ab or --inproc comparison")
+    ap.add_argument("--inproc", metavar="W",
+                    help="compare --ab PARENT_DIR with --root in process on workload W")
+    ap.add_argument("--reps", type=int, default=7, help="timed runs per side of an --inproc pair")
     args = ap.parse_args(argv)
+    if args.inproc:
+        if not args.ab or args.pairs < 1 or args.reps < 1:
+            ap.error("--inproc needs --ab and at least one pair and one run")
+        return main_inproc(args)
+    if args.pr is None:
+        ap.error("--pr is required")
     if args.ab and (not args.workload or args.pairs < 1):
         ap.error("--ab needs --workload and at least one pair")
     path = os.path.join(REPO, "BENCH_%d.json" % args.pr)

@@ -31,8 +31,23 @@ def cache_digest(kind, key):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+class _Key(dict):
+    """A key of one kind that carries its digest, taken once.
+
+    cached reads and writes one entry under such a copy of its key, so the
+    entry's path is hashed once; it encodes, and compares, as the plain key.
+    """
+
+    __slots__ = ("kind", "digest")
+
+    def __init__(self, kind, key):
+        super().__init__(key)
+        self.kind = kind
+        self.digest = cache_digest(kind, key)
+
+
 def cache_path(root, kind, key):
-    h = cache_digest(kind, key)
+    h = key.digest if isinstance(key, _Key) and key.kind == kind else cache_digest(kind, key)
     return os.path.join(root, kind, h + ".json")
 
 
@@ -93,11 +108,13 @@ def cached(root, kind, key, field, decode, compute):
     stored as value.to_json().  A missing entry is a miss, and so is one
     that cache_get rejects or whose payload lacks field or does not decode:
     the value is computed and stored, over such an entry too.  An entry
-    cached can use is never rewritten.  With root None there is no cache:
+    cached can use is never rewritten.  The entry's digest is taken once,
+    for every read and write of it (_Key).  With root None there is no cache:
     compute() is returned and nothing is read or written.
     """
     if root is None:
         return compute()
+    key = _Key(kind, key)
     payload = cache_get(root, kind, key)
     if payload is not None:
         try:

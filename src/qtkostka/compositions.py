@@ -240,23 +240,6 @@ def parse_marked(text):
     return MarkedDiagram(shape, frozenset(marked))
 
 
-def arrangements(items, k=None):
-    """The distinct orderings of k entries of the tuple items, sorted.
-
-    k defaults to all of them, so arrangements(tail) is the orbit of a tail
-    under its permutations, each arrangement built once.
-    """
-    k = len(items) if k is None else k
-    if k == 0:
-        return [()]
-    out = []
-    for x in sorted(set(items)):
-        rest = list(items)
-        rest.remove(x)
-        out.extend((x,) + more for more in arrangements(tuple(rest), k - 1))
-    return out
-
-
 def orbit(tau, m, n, k=None):
     """Keys of the orbit of tau under the permutations of the tail past m.
 
@@ -290,16 +273,31 @@ def _tail_orbit(tail, k):
     and those from the head into the tail count alike, and the decreasing
     tail of the representative has no ascending pair: shift, the difference
     of inv against the representative, is the number of strict ascending
-    pairs in the arrangement.  Memoized per tail; orbit memoizes the keys.
+    pairs in the arrangement.  The first k entries are placed one at a time,
+    each distinct value in increasing order, so the arrangements come out
+    sorted; the entries left after a placed x are exactly those that follow
+    it, so x adds the count of them greater than x to shift, and the rest,
+    sorted decreasing, add none.  Memoized per tail; orbit memoizes the keys.
     """
+    values = sorted(set(tail))
+    counts = [tail.count(x) for x in values]
     out = []
-    for mid in arrangements(tail, k):
-        rest = list(tail)
-        for x in mid:
-            rest.remove(x)
-        t = mid + tuple(sorted(rest, reverse=True))
-        shift = sum(1 for i, a in enumerate(t) for b in t[i + 1 :] if a < b)
-        out.append((_trim(t), shift))
+
+    def place(head, k, shift):
+        if not k:
+            rest = tuple(x for x, c in zip(reversed(values), reversed(counts)) for _ in range(c))
+            out.append((_trim(head + rest), shift))
+            return
+        greater = len(tail) - len(head)
+        for i, x in enumerate(values):
+            c = counts[i]
+            greater -= c
+            if c:
+                counts[i] = c - 1
+                place(head + (x,), k - 1, shift + greater)
+                counts[i] = c
+
+    place((), k, 0)
     return tuple(out)
 
 

@@ -31,33 +31,41 @@ Phi_c(x) = v^-1 Phi_c(x) for every i > max(m', c): a letter maps an
 m'-symmetric element to a max(m', c)-symmetric one.
 
 One letter.  Phi_c and Phibar_c are applied only by ModuleElement.letters.
-The image of the orbit sum M^{tau|m'} under Phi_c (or Phibar_c) is built
-once per (tau, m', c, n, barred) over every key of tau's orbit
-(_orbit_image), from the memoized word rows of _letter_row.  A word row is
-a dict {u: c} of q-free coefficients, built by the one generator loop and
-interned like every other row a memo keeps; _orbit_image adds each entry
-in at its orbit offset with coeffs.add_product.  A letter on an orbit form
-is then sum_tau p_tau image_tau, one coeffs.add_product per entry (tau,
-sigma) of the image rows.
+It reads each orbit at the letter's own index: below c, M^{tau|m'} is the
+sum of v^e M^{kappa|c} over the representatives kappa for c on tau's orbit,
+so every orbit row is built at an index m >= c (_orbit_image).  There the
+image of M^{tau|m} is the fixed prefix (tau_2, ..., tau_c) joined to one
+row of its word tail (omega*(tau)[c-1:], m - c) (_tail_image), so every
+head with the same tail shares one walk and one certificate.  A tail image
+walks the tail's arrangements over the memoized word rows of _letter_row.
+A word row is a dict {u: c} of q-free coefficients, built by the one
+generator loop and interned like every other row a memo keeps;
+_tail_image adds each entry in at its orbit offset with
+coeffs.add_product.  A letter on an orbit form is then sum_tau p_tau
+image_tau, one coeffs.add_product per entry (tau, sigma) of the image rows,
+with each offset e folded into the v exponent.
 
-Certificate.  Each orbit row is certified in full before its representative
-entries are kept: msym_expand(image, max(m', c)), the one conversion from a
-full element to its orbit form, must find every key of the image on the
-orbit of a representative term, with the coefficient compositions.orbit
-gives it there, else MSymmetryViolation.  So the image equals sum_sigma
-image_tau[sigma] M^{sigma|m}, m = max(m', c), which is m-symmetric (proof at
-msym_expand).  By induction along a word of letters, an orbit form with
+Certificate.  Each tail image is certified in full before its
+representative entries are kept, and that check is exactly the orbit row's
+check at m (proof at _orbit_image): msym_expand(image, m), the one
+conversion from a full element to its orbit form, must find every key of
+the image on the orbit of a representative term, with the coefficient
+compositions.orbit gives it there, else MSymmetryViolation.  So the image
+equals sum_sigma image_tau[sigma] M^{sigma|m}, which is m-symmetric (proof
+at msym_expand).  By induction along a word of letters, an orbit form with
 index m' and coefficients p_tau is exactly the element sum_tau p_tau
 M^{tau|m'}: true for M^0, and the letters are linear over Z[v^±1, q^±1], so
+with m = max(m', c)
 
     L(sum_tau p_tau M^{tau|m'}) = sum_sigma (sum_tau p_tau image_tau[sigma])
                                   M^{sigma|m},
 
-which is the orbit form letters returns.  Orbits are disjoint, so that sum
-passes msym_expand at m by definition, and it is m''-symmetric for any m''
->= m, read at its representatives by ModuleElement.expansion(m'').  At m' = n
-every key is its own orbit and each image row is the letter on one basis
-element.
+which is the orbit form letters returns, image_tau being the image of
+M^{tau|m'} (below c, the v^e-weighted sum of its representatives' rows).
+Orbits are disjoint, so that sum passes msym_expand at m by definition, and
+it is m''-symmetric for any m'' >= m, read at its representatives by
+ModuleElement.expansion(m'').  At m' = n every key is its own orbit and
+each image row is the letter on one basis element.
 
 One word recursion.  A word is a tuple of steps (c, letters) applied to M^0
 first step first; word_orbit builds it once per (word, n) on the memoized
@@ -84,6 +92,7 @@ from .compositions import (
     lambda_star,
     omega_star,
     orbit,
+    pad,
     partition_length,
     swap,
 )
@@ -158,24 +167,29 @@ class ModuleElement(SparseVector):
     def letters(self, c, letters):
         """sum over letters (barred, k, a, b) of k v^a q^b Phi_c (Phibar_c if barred).
 
-        The image is max(m, c)-symmetric; it is sum_tau p_tau times the
-        image of M^{tau|m}, one coeffs.add_product per entry (tau, sigma) of
-        the certified orbit rows (_orbit_image).  Its coefficients are
-        interned: word_orbit and _d_row keep them.
+        The image is max(m, c)-symmetric.  Below c, M^{tau|m} is sum_kappa
+        v^e M^{kappa|c} over the keys kappa of tau's orbit that are
+        representatives for c, with their offsets e (compositions.orbit):
+        grouping the orbit by the representative for c adds the offsets.  So
+        the image is sum_tau p_tau times the certified orbit rows
+        (_orbit_image) of tau, or of each kappa with e folded into the v
+        exponent, one coeffs.add_product per entry (tau, sigma).  Its
+        coefficients are interned: word_orbit and _d_row keep them.
         """
-        n = self.rank
+        n, m = self.rank, self.m
         if not 1 <= c <= n:
             raise ValueError("letter index %d out of range for rank %d" % (c, n))
         acc = {}
         for tau, p in self.terms.items():
-            for barred, k, a, b in letters:
-                for sigma, r in _orbit_image(tau, self.m, c, n, barred).items():
-                    t = acc.get(sigma)
-                    if t is None:
-                        t = acc[sigma] = {}
-                    add_product(t, p, r, k, a, b)
+            for kappa, e in orbit(tau, m, n, c - m) if m < c else ((tau, 0),):
+                for barred, k, a, b in letters:
+                    for sigma, r in _orbit_image(kappa, max(m, c), c, n, barred).items():
+                        t = acc.get(sigma)
+                        if t is None:
+                            t = acc[sigma] = {}
+                        add_product(t, p, r, k, a + e, b)
         terms = {sigma: interned(r) for sigma, r in finish_all(acc).items()}
-        return self._raw(n, terms, max(self.m, c))
+        return self._raw(n, terms, max(m, c))
 
     # -- generator action -------------------------------------------------------
 
@@ -311,27 +325,60 @@ def msym_expand(x, m):
 
 @memoized
 def _orbit_image(tau, m, c, n, barred):
-    """The image of M^{tau|m} under Phi_c (Phibar_c if barred), certified.
+    """The image of M^{tau|m} under Phi_c (Phibar_c if barred), m >= c, certified.
 
-    Returns its coefficients at the representatives for max(m, c),
-    interned, since the memo keeps them.  The image is sum_kappa v^e
-    Phi_c(M^kappa) over the keys kappa of the orbit with offsets e;
-    Phi_c(M^kappa) is the prefix p[:c-1] of p = omega*(kappa) followed by
-    the row of the word p[c-1:] (_letter_row), since H_c ... H_{n-1} only
-    touch positions c..n.  Each row entry is added in at its offset by
-    coeffs.add_product.
+    Returns its coefficients at the representatives for m, interned, since
+    the memo keeps them.  The image is sum_kappa v^e Phi_c(M^kappa) over
+    the keys kappa of the orbit with offsets e; Phi_c(M^kappa) is the prefix
+    p[:c-1] of p = omega*(kappa) followed by the row of the word p[c-1:]
+    (_letter_row), since H_c ... H_{n-1} only touch positions c..n.
+
+    One row per tail.  Every kappa keeps tau's head kappa[:m] and c <= m,
+    so p[:c-1] = (tau_2, ..., tau_c) is the same prefix for the whole orbit,
+    and the word w(kappa) = p[c-1:] = (kappa_{c+1}, ..., kappa_n, tau_1 + 1)
+    keeps w(tau)'s first m - c entries and its last, and arranges the
+    entries between as kappa arranges its tail past m.  So the image is the
+    prefix joined to the tail image of (w(tau), m - c) (_tail_image), which
+    every head with the same tail shares.  Its keys u hold the positive
+    tau_1 + 1, so the joined keys are trimmed.
+
+    Certificate.  The tail image is certified by msym_expand at index
+    m - c + 1 and rank n - c + 1, and that is exactly the image's check at
+    m: each key of the image is the prefix followed by a key u of the tail
+    image, its positions past m are u's past m - c + 1, so it is a
+    representative for m exactly when u is one for m - c + 1, and its orbit
+    past m is the prefix followed by u's orbit past m - c + 1, with the same
+    offsets, since an offset counts ascending pairs of the arranged tail
+    alone (compositions._tail_orbit).
     """
+    p = omega_star(tau, n)
+    prefix = p[: c - 1]
+    return {prefix + u: r for u, r in _tail_image(p[c - 1 :], m - c, barred).items()}
+
+
+@memoized
+def _tail_image(word, j, barred):
+    """sum_u v^e H_1 ... H_{L-1} M^u over the arrangements u of word, certified.
+
+    word has length L and a positive last entry, and its entries past j
+    but before the last are weakly decreasing; u keeps its first j entries
+    and its last and arranges those between, with offset e the count of
+    their ascending pairs, as compositions.orbit walks the word without its
+    last entry.  The rows are those of _letter_row (inverse generators if
+    barred), each entry added in at its offset by coeffs.add_product.
+    msym_expand certifies the sum (j + 1)-symmetric at rank L before its
+    representative entries are kept, interned, since the memo keeps them.
+    """
+    size = len(word) - 1
     acc = {}
-    for kappa, e in orbit(tau, m, n):
-        p = omega_star(kappa, n)
-        prefix = p[: c - 1]
-        for u, r in _letter_row(p[c - 1 :], barred).items():
-            add_product(acc.setdefault(prefix + u, {}), r, ONE, 1, e)
+    for u, e in orbit(canonicalize(word[:-1]), j, size):
+        for x, r in _letter_row(pad(u, size) + word[-1:], barred).items():
+            add_product(acc.setdefault(x, {}), r, ONE, 1, e)
     try:
-        reps = msym_expand(ModuleElement._raw(n, finish_all(acc)), max(m, c)).terms
+        reps = msym_expand(ModuleElement._raw(size + 1, finish_all(acc)), j + 1).terms
     except MSymmetryViolation as exc:
-        raise MSymmetryViolation("%s_%d of M^{%r|%d} at rank %d: %s"
-                                 % ("Phibar" if barred else "Phi", c, tau, m, n, exc)) from None
+        raise MSymmetryViolation("%s row of the word %r past %d: %s"
+                                 % ("Phibar" if barred else "Phi", word, j, exc)) from None
     return {sigma: interned(r) for sigma, r in reps.items()}
 
 

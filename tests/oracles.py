@@ -14,19 +14,21 @@ straight from its operator word, the Phi/Phibar letters as a chain of
 generator passes over the whole element, with E~ and the marked E~ built
 from them, the E~ and marked E~ recursions over every key of the rank-n
 support (the library's one letter, ModuleElement.letters, at m = n, where
-every key is its own representative), the Weyl symmetrization of J_mu as
-a breadth-first walk of S_n in right weak order, and distinct permutations
-by brute force.
+every key is its own representative), the orbit row of one orbit sum
+walked over its whole orbit, the Weyl symmetrization of J_mu as a
+breadth-first walk of S_n in right weak order, and distinct permutations by
+brute force.
 """
 
 import itertools
 from functools import lru_cache
 
 from qtkostka.bruhat import min_rep_length
-from qtkostka.coeffs import CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish
-from qtkostka.compositions import box_enumeration, lambda_star
+from qtkostka.coeffs import (
+    CoeffPoly, ConsistencyError, MINUS_ONE, ONE, add_product, finish, finish_all)
+from qtkostka.compositions import box_enumeration, lambda_star, omega_star, orbit
 from qtkostka.kl import skew_positive_part
-from qtkostka.parabolic import ModuleElement, d_basis
+from qtkostka.parabolic import ModuleElement, _letter_row, d_basis, msym_expand
 
 
 def mul_perm(a, b):
@@ -297,6 +299,22 @@ def marked_e_chain(d, n):
     for s, c in zip(order, cols):
         x = letter_chain(x, c, True).scale(MINUS_ONE) if s in d.marked else letter_chain(x, c, False)
     return x
+
+
+def full_orbit_image(tau, m, c, n, barred):
+    """Phi_c(M^{tau|m}) (Phibar_c if barred) at its representatives for max(m, c).
+
+    Every key kappa of tau's whole orbit is walked, its letter row read at
+    the word omega*(kappa)[c-1:] and added in at its offset after the fixed
+    prefix omega*(kappa)[:c-1], and the sum is certified by msym_expand; no
+    row is shared between heads or between orbits.
+    """
+    acc = {}
+    for kappa, e in orbit(tau, m, n):
+        p = omega_star(kappa, n)
+        for u, r in _letter_row(p[c - 1 :], barred).items():
+            add_product(acc.setdefault(p[: c - 1] + u, {}), r, ONE, 1, e)
+    return msym_expand(ModuleElement(n, finish_all(acc)), max(m, c)).terms
 
 
 PHI = ((False, 1, 0, 0),)

@@ -149,6 +149,31 @@ def test_cache_entry_bytes_are_the_canonical_encoding(tmp_path):
 _KEY_1_1 = {"lambda": "1", "mu": "1"}
 
 
+def test_cached_hashes_each_entry_once(tmp_path, monkeypatch):
+    # a read, a write, and a rewrite over an entry cached cannot use
+    cache_module = sys.modules["qtkostka.cache"]
+    root = str(tmp_path)
+    path = cache_path(root, "kostka", _KEY_1_1)
+    real = cache_module.cache_digest
+    digests = []
+    monkeypatch.setattr(cache_module, "cache_digest",
+                        lambda kind, key: digests.append(kind) or real(kind, key))
+
+    def value():
+        return cache_module.cached(root, "kostka", _KEY_1_1, "value", CoeffPoly.from_json,
+                                   lambda: ONE)
+
+    for planted in (None, None, {"format": FORMAT, "kind": "kostka", "key": _KEY_1_1,
+                                 "payload": {"other": []}}):
+        if planted is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(planted, fh)
+        before = len(digests)
+        assert value() == ONE
+        assert len(digests) == before + 1
+    assert CoeffPoly.from_json(cache_get(root, "kostka", _KEY_1_1)["value"]) == ONE
+
+
 @pytest.mark.parametrize("entry", [
     ["a", "json", "list"],
     {"format": FORMAT, "kind": "kostka", "key": _KEY_1_1, "payload": {"other": []}},

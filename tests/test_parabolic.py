@@ -6,15 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PHI, PHIBAR, d_basis_word, letter_chain
+from oracles import PHI, PHIBAR, d_basis_word, full_orbit_image, letter_chain
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
-from qtkostka.compositions import all_markings, compositions_of, pad, swap
+from qtkostka.compositions import all_markings, compositions_of, pad, partition_length, swap
 from qtkostka.macdonald import e_orbit, marked_orbit
 from qtkostka.bruhat import preceq
 from qtkostka.memo import clear_caches
 from qtkostka.kl import KLElement, kl_element
 from qtkostka.parabolic import (
     ModuleElement,
+    _orbit_image,
+    _tail_image,
     bar_d,
     d_basis,
     d_word,
@@ -165,6 +167,54 @@ def test_letters_match_the_chain_oracle():
                 assert y.m == max(form.m, m) and y.element == want, (label, m)
             count += 1
     assert count > 10000
+
+
+def test_orbit_images_match_the_full_orbit_walk():
+    # every representative of weight <= 3 at every c <= m <= n <= 5, both letters
+    count = 0
+    for n in range(2, 6):
+        for d in range(4):
+            for tau in compositions_of(d, n):
+                for m in range(max(partition_length(tau), 1), n + 1):
+                    for c in range(1, m + 1):
+                        for barred in (False, True):
+                            want = full_orbit_image(tau, m, c, n, barred)
+                            assert _orbit_image(tau, m, c, n, barred) == want, (tau, m, c, n)
+                            count += 1
+    assert count == 2276
+
+
+def test_a_letter_below_its_index_equals_the_letter_on_the_form_read_at_it():
+    # below c each orbit is walked at c inside the letter, with its offsets
+    mixed = ((False, 2, 1, 0), (True, -1, 2, 1))
+    count = 0
+    for label, _, form in _letter_inputs():
+        if form is None:
+            continue
+        for c in range(form.m + 1, form.rank + 1):
+            for letters in (PHI, PHIBAR, mixed):
+                assert form.letters(c, letters) == form.expansion(c).letters(c, letters), (label, c)
+                count += 1
+    assert count > 1000
+
+
+def test_heads_that_differ_only_before_the_letter_share_one_tail_image():
+    # at m = c = 3, rank 5: omega*(1, a, b, 2, 1) = (a, b, 2, 1, 2), so every
+    # (a, b) reads the tail image of the word (2, 1, 2); tau_1 = 2 does not
+    clear_caches()
+    first = _orbit_image((1, 0, 0, 2, 1), 3, 3, 5, False)
+    tail = {sigma[2:]: r for sigma, r in first.items()}
+    before = _tail_image.cache_info()
+    for a, b in ((2, 0), (0, 3), (1, 1)):
+        image = _orbit_image((1, a, b, 2, 1), 3, 3, 5, False)
+        assert image == {(a, b) + u: r for u, r in tail.items()}
+        assert all(r is tail[sigma[2:]] for sigma, r in image.items())
+    after = _tail_image.cache_info()
+    assert before.currsize == after.currsize == 1
+    assert after.hits == before.hits + 3
+    _orbit_image((2, 0, 0, 2, 1), 3, 3, 5, False)
+    assert _tail_image.cache_info().currsize == 2
+    clear_caches()
 
 
 def test_expansion_at_its_own_index_is_the_element_itself():

@@ -50,13 +50,6 @@ def _guarded(fn):
     return wrapper
 
 
-def _parse(text):
-    try:
-        return parse_composition(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _env_cache(explicit=None):
     # click refuses a --cache that names a file; $KOSTKA_CACHE is checked here
     path = explicit or os.environ.get("KOSTKA_CACHE") or None
@@ -88,7 +81,7 @@ def main():
 @_guarded
 def compute_e(mu_text, rank, basis, fmt):
     """Print the Macdonald element E~_mu."""
-    mu = _parse(mu_text)
+    mu = parse_composition(mu_text)
     n = rank if rank is not None else default_rank(mu)
     key = {"mu": format_composition(mu), "rank": n}
     el = cached(_env_cache(), "e_tilde", key, "element", ModuleElement.from_json,
@@ -104,7 +97,7 @@ def compute_e(mu_text, rank, basis, fmt):
 @_guarded
 def compute_kl(lam_text, rank, fmt):
     """Print the Kazhdan-Lusztig element over lambda."""
-    lam = _parse(lam_text)
+    lam = parse_composition(lam_text)
     n = rank if rank is not None else default_rank(lam)
     key = {"lambda": format_composition(lam), "rank": n}
     el = cached(_env_cache(), "kl", key, "element", ModuleElement.from_json,
@@ -121,8 +114,8 @@ def compute_kl(lam_text, rank, fmt):
 @_guarded
 def kostka_cmd(lam_text, mu_text, with_marked, fmt):
     """Print K_{lambda,mu}(q,t), optionally refined over markings of mu."""
-    lam = _parse(lam_text)
-    mu = _parse(mu_text)
+    lam = parse_composition(lam_text)
+    mu = parse_composition(mu_text)
     cdir = _env_cache()
     value = cached_value(lam, mu, cache_dir=cdir)
     rows = []

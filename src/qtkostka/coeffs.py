@@ -11,9 +11,10 @@ Sums of products are accumulated in place by one kernel: add_product adds
 k v^a q^b (p r) into a plain terms dict, and finish drops the zeros and wraps
 the dict as a CoeffPoly without copying it; finish_all finishes a dict of
 such dicts and leaves out the zeros.  The ring operations use it too: +, -
-and * are each one add_product call and finish.  Only three methods sum
-terms in loops of their own: echo, the Hecke generators' hot path; shift,
-which maps each term to one term; and exact_div's remainder, whose shifted
+and * are each one add_product call and finish, and so is the echo
+sign (v - v^-1) c of the Hecke generators, a product with a module
+constant.  Only two methods sum terms in loops of their own: shift, which
+maps each term to one term, and exact_div's remainder, whose shifted
 exponents would otherwise all enter _PAIRS.  The kernel takes each new
 exponent pair from one shared table (_PAIRS), so equal pairs in the
 coefficients it builds are one tuple object.  Keys are therefore shared
@@ -142,30 +143,6 @@ class CoeffPoly:
         for (a, b), c in self.terms.items():
             e = (a + v_exp, b + q_exp)
             terms[pairs.setdefault(e, e)] = c
-        out = CoeffPoly.__new__(CoeffPoly)
-        out.terms = terms
-        return out
-
-    def echo(self, sign):
-        """sign (v - v^-1) self, as two shifted copies of self.
-
-        The echo term of the Hecke generators.  Like add_product, it takes
-        each exponent pair from the shared table.
-        """
-        pairs = _PAIRS
-        terms = {}
-        for (a, b), x in self.terms.items():
-            e = (a + 1, b)
-            terms[pairs.setdefault(e, e)] = sign * x
-        for (a, b), x in self.terms.items():
-            e = (a - 1, b)
-            s = terms.get(e)
-            if s is None:
-                terms[pairs.setdefault(e, e)] = -sign * x
-            elif s == sign * x:
-                del terms[e]
-            else:
-                terms[e] = s - sign * x
         out = CoeffPoly.__new__(CoeffPoly)
         out.terms = terms
         return out

@@ -148,12 +148,18 @@ def kostka_q0_check(lam, max_len=None):
     mu runs over every composition of the right weight that fits inside the
     KL element's own rank (those coefficients are rank-stable), so vanishing
     off the support is probed along with the support itself.  max_len trims
-    the mu window; entries past the window are simply not probed.
+    the mu window; entries past the window are simply not probed.  A window
+    that holds no composition of lambda's weight compares nothing, and is
+    refused with ValueError.
     """
     lam = canonicalize(lam)
     _, n = _ranks(lam, ())
     window = n if max_len is None else min(max_len, n)
-    values = ((mu, kostka(lam, mu).value) for mu in compositions_of(weight(lam), window))
+    mus = compositions_of(weight(lam), window)
+    if not mus:
+        raise ValueError("no composition of weight %d has at most %d parts"
+                         % (weight(lam), window))
+    values = ((mu, kostka(lam, mu).value) for mu in mus)
     return next(_q0_disagreements(kl_element(lam, n), values), None) is None
 
 

@@ -154,17 +154,18 @@ def duality_check(lam, n):
     """bar-d fixes E~_lambda up to the sign and monomial the theory predicts.
 
     The factor is (-1)^{|lambda|} q^{-A} t^{-B-l(w^lambda)} with
-    A = sum binom(lambda_i+1, 2) and B = sum i*(sorted lambda)_i.
+    A = sum binom(lambda_i+1, 2) and B = sum i*(sorted lambda)_i.  E~ is
+    read in its orbit form, where bar_d works.
     """
     lam = canonicalize(lam)
-    el = e_tilde(lam, n).element
+    el = e_orbit(lam, n)
     a_exp = sum(p * (p + 1) // 2 for p in lam)
     lam_plus = sorted((p for p in lam if p), reverse=True)
     b_exp = sum(i * p for i, p in enumerate(lam_plus, start=1))
     ell = sorting_data(lam, n).inversions
     sign = -1 if weight(lam) % 2 else 1
     factor = CoeffPoly.monomial(sign, -2 * (b_exp + ell), -a_exp)
-    return bar_d(el) == el.scale(factor)
+    return bar_d(el).terms == {tau: p * factor for tau, p in el.terms.items()}
 
 
 def intertwiner_check(mu, i, n):

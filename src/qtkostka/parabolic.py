@@ -13,7 +13,9 @@ inverse generator is H_i + (v - v^{-1}) by the quadratic relation.
 
 The operator words Phi_m = H_m...H_{n-1} omega, Phibar_m with inverse factors,
 and Z_i = H_i^{-1}...H_{n-1}^{-1} omega H_1...H_{i-1} are always applied
-right to left (rightmost factor first).
+right to left (rightmost factor first).  omega is Phi_n, and Z_i is the
+generator chain H_1...H_{i-1} followed by the one letter Phibar_i, so the
+letters below are the only place a rotation is applied.
 
 One element type.  An m-symmetric element (H_i x = v^-1 x for every i > m)
 is carried by one coefficient p_tau per representative tau of the orbit
@@ -77,15 +79,30 @@ The bar involution d is semilinear over the bar of coefficients and acts on
 basis elements through the word d(M^lambda) = Phibar_{c_k}...Phibar_{c_1}(M^0)
 over the star chain of lambda (d_word; proof at d_basis).  Its rows are the
 expansions at m = n of those words, kept once per (rank, lambda) as
-ModuleElements by d_basis, their coefficients interned by the letters.
-Every memo here comes from memo.py, which also clears them.
+ModuleElements by d_basis, their coefficients interned by the letters.  The
+orbit rows d(M^{tau|m}) are built from them beside d_basis, each certified by
+an exact division (_orbit_row), and bar_d applies d in its argument's own
+orbit basis through them, which the KL solve (kl.py) shares: at m = n they
+are the d_basis rows.  Every memo here comes from memo.py, which also clears
+them.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .coeffs import ConsistencyError, ONE, add_product, finish_all, interned, memo_shift, shifted
+from .coeffs import (
+    CoeffPoly,
+    ConsistencyError,
+    NonExactDivision,
+    ONE,
+    V_MINUS_VINV,
+    add_product,
+    finish_all,
+    interned,
+    memo_shift,
+    shifted,
+)
 from .compositions import (
     canonicalize,
     format_composition,
@@ -99,8 +116,10 @@ from .compositions import (
 from .memo import memoized
 from .sparse import SparseVector, add_term
 
-# the one letter Phibar of the involution rows, as ModuleElement.letters takes it
+# the one letter Phibar of the involution rows and of Z_i, as ModuleElement.letters takes it
 _PHIBAR = ((True, 1, 0, 0),)
+# the echo sign (v - v^-1) of _hecke, by sign
+_ECHO = {1: V_MINUS_VINV, -1: -V_MINUS_VINV}
 
 
 class ModuleElement(SparseVector):
@@ -210,7 +229,7 @@ class ModuleElement(SparseVector):
 
         An equal pair is scaled by v^sign; otherwise the key is swapped, and
         the case sign(lambda_{i+1} - lambda_i) == sign also keeps the echo
-        sign (v - v^{-1}) times the old key, as two shifted copies.
+        sign (v - v^{-1}) times the old key, one kernel product.
         """
         n = self.rank
         if not 1 <= i <= n - 1:
@@ -224,26 +243,20 @@ class ModuleElement(SparseVector):
             else:
                 add_term(acc, swap(lam, i), c)
                 if (b - a) * sign > 0:
-                    add_term(acc, lam, c.echo(sign))
+                    add_term(acc, lam, c * _ECHO[sign])
         return self._raw(n, acc)
 
-    def omega(self):
-        """The degree-raising rotation M^lambda -> M^{omega*(lambda)}."""
-        n = self.rank
-        return self._raw(n, {omega_star(lam, n): c for lam, c in self.element.terms.items()})
-
     def z_op(self, i):
-        """Z_i = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}, rightmost first."""
-        n = self.rank
-        if not 1 <= i <= n:
+        """Z_i = Phibar_i H_1 ... H_{i-1}, rightmost first, in the standard basis.
+
+        Phibar_i = H_i^{-1} ... H_{n-1}^{-1} omega is one letter.
+        """
+        if not 1 <= i <= self.rank:
             raise ValueError("index out of range")
         x = self
         for j in range(i - 1, 0, -1):
             x = x.hi(j)
-        x = x.omega()
-        for j in range(n - 1, i - 1, -1):
-            x = x.hi_inv(j)
-        return x
+        return x.letters(i, _PHIBAR).element
 
 
 @memoized
@@ -457,11 +470,84 @@ def _d_row(lam, n):
     return ModuleElement._raw(n, dict(word_orbit(d_word(lam), n).expansion(n).terms))
 
 
+def _tail_inversions(tail):
+    """l: the pairs i < j with tail[i] > tail[j]."""
+    return sum(1 for i, a in enumerate(tail) for b in tail[i + 1 :] if a > b)
+
+
+@memoized
+def _s_factor(tau, m, n):
+    """s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2}, N = n - m, interned."""
+    tail = pad(tau, n)[m:]
+    big = len(tail)
+    out = CoeffPoly.v_power(big * (big - 1) // 2 - _tail_inversions(tail))
+    for a in set(tail):
+        for i in range(2, tail.count(a) + 1):
+            out = out * CoeffPoly({(-2 * j, 0): 1 for j in range(i)})
+    return interned(out)
+
+
+@memoized
+def _orbit_row(tau, m, n):
+    """R[tau], the orbit row d(M^{tau|m}) = sum_sigma R[tau][sigma] M^{sigma|m}, interned.
+
+    Let N = n - m and J = {m+1, ..., n-1}.  The element C_J = v^{N(N-1)/2}
+    sum_{w in W_J} v^{-l(w)} H_w is bar-invariant, and H_i C_J = C_J H_i =
+    v^-1 C_J for i in J.  For a representative tau let kappa0 be tau with
+    its tail sorted increasingly, and let l(kappa) count the strict
+    inversions (i < j with kappa_i > kappa_j) of kappa's padded tail.  Then
+    C_J M^{kappa0} = s_tau M^{tau|m}, where
+
+        s_tau = v^{N(N-1)/2 - l(tau)} prod_a [mult_a]!_{v^-2},
+
+    the product running over the tail's part multiplicities, zeros
+    included (_s_factor).  d is semilinear, d(h x) = bar(h) d(x) with
+    bar(H_i) = H_i^-1, so with C_J bar-invariant, d(M^{tau|m}) =
+    bar(s_tau)^-1 C_J d(M^{kappa0}).  For kappa in the orbit of sigma,
+    C_J M^kappa = v^{-l(kappa)} s_sigma M^{sigma|m}.  Hence
+
+        R[tau][sigma] = s_sigma A_sigma / bar(s_tau),
+        A_sigma = sum_{kappa in orbit(sigma)} v^{-l(kappa)} r_{kappa0,kappa},
+
+    r being the involution row of kappa0 (d_basis).  A_sigma is accumulated
+    in place by coeffs.add_product, each entry shifted by v^{-l(kappa)}.
+    d(M^{tau|m}) is m-symmetric as M^{tau|m} is, so the division by
+    bar(s_tau) is exact on correct rows; a remainder raises
+    ConsistencyError.  At m = n, N = 0 and s_tau = 1, so R[tau] is the
+    d_basis row of tau.
+    """
+    p = pad(tau, n)
+    row = d_basis(canonicalize(p[:m] + tuple(sorted(p[m:]))), n)
+    sums = {}
+    for kappa, r in row.terms.items():
+        q = pad(kappa, n)
+        sigma = canonicalize(q[:m] + tuple(sorted(q[m:], reverse=True)))
+        add_product(sums.setdefault(sigma, {}), r, ONE, 1, -_tail_inversions(q[m:]))
+    s_bar = _s_factor(tau, m, n).bar()
+    out = {}
+    for sigma, a in finish_all(sums).items():
+        try:
+            out[sigma] = interned((_s_factor(sigma, m, n) * a).exact_div(s_bar))
+        except NonExactDivision:
+            raise ConsistencyError(
+                "bar(s_%r) does not divide the orbit row of %r at %r at rank %d"
+                % (tau, tau, sigma, n)
+            ) from None
+    return out
+
+
 def bar_d(x):
-    """The semilinear bar involution of the module."""
+    """The semilinear bar involution of the module, as the orbit form at x.m.
+
+    d commutes with the symmetrizer: H_i y = v^-1 y gives H_i^-1 d(y) =
+    v d(y), that is H_i d(y) = v^-1 d(y).  So d(M^{tau|m}) is m-symmetric,
+    the orbit row R[tau] (_orbit_row), and d(sum_tau p_tau M^{tau|m}) =
+    sum_tau bar(p_tau) R[tau].  At m = n the orbit rows are the d_basis rows.
+    """
+    n, m = x.rank, x.m
     acc = {}
-    for lam, c in x.element.terms.items():
-        cb = c.bar()
-        for nu, r in d_basis(lam, x.rank).terms.items():
-            add_product(acc.setdefault(nu, {}), r, cb)
-    return ModuleElement._raw(x.rank, finish_all(acc))
+    for tau, p in x.terms.items():
+        pb = p.bar()
+        for sigma, r in _orbit_row(tau, m, n).items():
+            add_product(acc.setdefault(sigma, {}), pb, r)
+    return ModuleElement._raw(n, finish_all(acc), m)

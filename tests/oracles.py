@@ -10,9 +10,10 @@ representatives from exhaustive minimization over the finite group.
 
 The rest are the library's former routes, kept as differential references:
 the Kazhdan-Lusztig solve over the whole rank-n support, the involution row
-straight from its operator word, the Phi/Phibar letters as a chain of
-generator passes over the whole element, with E~ and the marked E~ built
-from them, the E~ and marked E~ recursions over every key of the rank-n
+straight from its operator word, the involution d over the whole standard
+basis, the rotation omega as a move of every key, Z_i and the Phi/Phibar
+letters as chains of generator passes over the whole element, with E~ and
+the marked E~ built from them, the E~ and marked E~ recursions over every key of the rank-n
 support (the library's one letter, ModuleElement.letters, at m = n, where
 every key is its own representative), the orbit row of one orbit sum
 walked over its whole orbit, the Weyl symmetrization of J_mu as a
@@ -276,10 +277,38 @@ def letter_chain(x, m, barred):
     n = x.rank
     if not 1 <= m <= n:
         raise ValueError("m out of range")
-    y = x.omega()
+    y = rotate(x)
     for i in range(n - 1, m - 1, -1):
         y = y.hi_inv(i) if barred else y.hi(i)
     return y
+
+
+def rotate(x):
+    """omega(x): every key lambda of x's standard basis moved to omega*(lambda)."""
+    n = x.rank
+    return ModuleElement(n, {omega_star(lam, n): c for lam, c in x.element.terms.items()})
+
+
+def z_chain(x, i):
+    """Z_i(x) = H_i^{-1} ... H_{n-1}^{-1} omega H_1 ... H_{i-1}(x), one pass per factor."""
+    n = x.rank
+    y = x.element
+    for j in range(i - 1, 0, -1):
+        y = y.hi(j)
+    y = rotate(y)
+    for j in range(n - 1, i - 1, -1):
+        y = y.hi_inv(j)
+    return y
+
+
+def bar_d_full(x):
+    """d(x) in the standard basis: sum_lambda bar(c_lambda) d_basis(lambda) over x's keys."""
+    acc = {}
+    for lam, c in x.element.terms.items():
+        cb = c.bar()
+        for nu, r in d_basis(lam, x.rank).terms.items():
+            add_product(acc.setdefault(nu, {}), r, cb)
+    return ModuleElement(x.rank, finish_all(acc))
 
 
 def e_tilde_chain(lam, n):

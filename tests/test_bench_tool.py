@@ -1,7 +1,11 @@
 """The A/B summary of tools/bench.py."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench_tool", PATH)
@@ -132,14 +136,17 @@ def test_inproc_alternates_child_processes_and_reads_min_median_and_digest(monke
         calls.append((cwd, cmd[-3:]))
         assert cmd[:3] == [bench.sys.executable, "-c", bench.INPROC_CHILD] and cmd[3] == cwd
         times = [0.2, 0.1, 0.3] if cwd == "/parent" else [0.09, 0.08, 0.1]
-        out = 'noise\n{"times": %s, "digests": ["abc"]}\n' % times
+        rss = 22.5 if cwd == "/parent" else 21.25
+        out = 'noise\n{"times": %s, "digests": ["abc"], "peak_rss_mb": %s}\n' % (times, rss)
         return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     pairs = list(bench.inproc("/parent", "/change", "macdonald", 2, 3))
     assert [p["order"] for p in pairs] == [["parent", "change"], ["change", "parent"]]
-    assert pairs[0]["parent"] == {"min": 0.1, "median": 0.2, "digests": ["abc"]}
-    assert pairs[1]["change"] == {"min": 0.08, "median": 0.09, "digests": ["abc"]}
+    assert pairs[0]["parent"] == {"min": 0.1, "median": 0.2, "digests": ["abc"],
+                                  "peak_rss_mb": 22.5}
+    assert pairs[1]["change"] == {"min": 0.08, "median": 0.09, "digests": ["abc"],
+                                  "peak_rss_mb": 21.25}
     assert calls == [("/parent", ["macdonald", "3", "0"]), ("/change", ["macdonald", "3", "0"]),
                      ("/change", ["macdonald", "3", "1"]), ("/parent", ["macdonald", "3", "1"])]
     calls.clear()
@@ -147,16 +154,50 @@ def test_inproc_alternates_child_processes_and_reads_min_median_and_digest(monke
                        "--pairs", "2", "--reps", "3"]) == 0
     assert len(calls) == 4
     out = capsys.readouterr().out
+    assert "peak 22.50 MB, change min 0.0800 median 0.0900 peak 21.25 MB, ratio 0.800" in out
     assert "ratio 0.800, outputs abc" in out
-    assert "median 0.800, change won 2/2, same outputs" in out
+    assert "median 0.800, change won 2/2, peak RSS median parent 22.50 MB change 21.25 MB" in out
+    assert out.rstrip().endswith("same outputs")
 
 
 def test_inproc_fails_when_the_outputs_differ(monkeypatch, capsys):
     def fake_run(cmd, cwd, **kwargs):
-        out = '{"times": [0.1], "digests": ["%s"]}\n' % ("a" if cwd == "/parent" else "b")
+        out = '{"times": [0.1], "digests": ["%s"], "peak_rss_mb": 20.0}\n' % (
+            "a" if cwd == "/parent" else "b")
         return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     assert bench.main(["--inproc", "kl", "--ab", "/parent", "--root", "/change",
                        "--pairs", "1", "--reps", "1"]) == 1
     assert "outputs DIFFER" in capsys.readouterr().out
+
+
+# runs inproc_side from a fresh interpreter: a child's ru_maxrss starts at the
+# RSS of the process that started it, which for pytest itself is over 100 MB
+SIDE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tool", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.inproc_side(sys.argv[2], "w", 2, 0)))
+"""
+
+
+def test_inproc_side_reports_the_first_runs_peak_rss_before_the_outputs():
+    # the child's own script, run on a stub checkout, reads ru_maxrss in MB
+    # after the first run, not the 96 MB its outputs take
+    with tempfile.TemporaryDirectory() as root:
+        pkg = pathlib.Path(root, "src", "qtkostka")
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("def clear_caches():\n    pass\n")
+        bench_dir = pathlib.Path(root, "perfbench")
+        bench_dir.mkdir()
+        (bench_dir / "workloads.py").write_text(
+            "def canonical_digest(obj):\n    return 'd'\n"
+            "WORKLOADS = {'w': (lambda Q, spec: {}, lambda Q, inputs, parts: [0] * 50000,\n"
+            "                   lambda Q, inputs, produced: len(bytearray(96 << 20)))}\n")
+        proc = subprocess.run([sys.executable, "-c", SIDE, str(PATH), root],
+                              capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["digests"] == ["d"] and out["min"] <= out["median"]
+    assert 1 < out["peak_rss_mb"] < 60

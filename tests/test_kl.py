@@ -149,7 +149,7 @@ def test_orbit_rows_are_the_bar_involution_in_the_orbit_basis():
             for tau in compositions_of(d, n):
                 for m in range(partition_length(tau), n + 1):
                     want = msym_expand(bar_d(msym_basis(tau, m, n)), m).terms
-                    assert kl_module._orbit_row(tau, m, n) == want, (tau, m, n)
+                    assert parabolic._orbit_row(tau, m, n) == want, (tau, m, n)
                     count += 1
     assert count > 400
 
@@ -163,13 +163,13 @@ def test_cold_solve_builds_few_involution_rows(cold):
         qtkostka.clear_caches()
         m = kl_element(lam, n).m
         rows = parabolic._d_row.cache_info().currsize
-        assert rows == kl_module._orbit_row.cache_info().currsize == count, lam
+        assert rows == parabolic._orbit_row.cache_info().currsize == count, lam
         closure, frontier = set(), [lam]
         while frontier:
             tau = frontier.pop()
             if tau not in closure:
                 closure.add(tau)
-                frontier.extend(kl_module._orbit_row(tau, m, n))
+                frontier.extend(parabolic._orbit_row(tau, m, n))
         assert len(closure) == rows, lam
         for tau in closure:
             for c in d_basis(_bottom(tau, m, n), n).terms.values():
@@ -183,7 +183,7 @@ def _bottom(tau, m, n):
 
 
 def _clear_solve_memos():
-    kl_module._orbit_row.cache_clear()
+    parabolic._orbit_row.cache_clear()
     kl_module._quotient_solve.cache_clear()
 
 
@@ -255,34 +255,34 @@ def test_self_duality_recheck_catches_what_the_skew_check_would(cold, monkeypatc
 
 def test_wrong_s_factor_is_caught(cold, monkeypatch):
     # s_tau off by a factor v at one representative below the top
-    real = kl_module._s_factor
+    real = parabolic._s_factor
 
     def wrong(tau, m, n):
         s = real(tau, m, n)
         return s * V if tau == (1, 1, 1) else s
 
-    monkeypatch.setattr(kl_module, "_s_factor", wrong)
+    monkeypatch.setattr(parabolic, "_s_factor", wrong)
     with pytest.raises(ConsistencyError):
         kl_element((2, 1), 4)
 
 
 def test_off_by_one_tail_inversions_are_caught(cold, monkeypatch):
     # l(kappa) one too large at every key off its orbit's representative
-    real = kl_module._tail_inversions
+    real = parabolic._tail_inversions
 
     def off_by_one(tail):
         return real(tail) + (list(tail) != sorted(tail, reverse=True))
 
-    monkeypatch.setattr(kl_module, "_tail_inversions", off_by_one)
+    monkeypatch.setattr(parabolic, "_tail_inversions", off_by_one)
     with pytest.raises(ConsistencyError):
         kl_element((2, 1), 4)
 
 
 def test_division_remainder_is_caught(cold, monkeypatch):
     # with s_tau scaled by 1 + 2v, bar(s_tau) leaves a remainder on the diagonal
-    real = kl_module._s_factor
+    real = parabolic._s_factor
     monkeypatch.setattr(
-        kl_module, "_s_factor", lambda tau, m, n: real(tau, m, n) * (ONE + V * CoeffPoly.integer(2))
+        parabolic, "_s_factor", lambda tau, m, n: real(tau, m, n) * (ONE + V * CoeffPoly.integer(2))
     )
     with pytest.raises(ConsistencyError, match="does not divide"):
         kl_element((2, 1), 4)
@@ -298,7 +298,7 @@ def test_corrupted_orbit_row_shape_is_caught(cold):
         (lambda row: row.__setitem__(below, V), "bad diagonal"),
     ]:
         _clear_solve_memos()
-        corrupt(kl_module._orbit_row(below, el.m, n))
+        corrupt(parabolic._orbit_row(below, el.m, n))
         kl_module._quotient_solve.cache_clear()
         with pytest.raises(ConsistencyError, match=message):
             kl_element(lam, n)

@@ -386,6 +386,15 @@ def test_q0_check_catches_a_wrong_value(monkeypatch):
     assert not kostka_q0_check((2,))
 
 
+def test_q0_check_refuses_a_window_that_holds_no_composition():
+    # a window that compares nothing must not read as agreement
+    for lam, cap in (((1,), 0), ((2, 1), 0), ((0, 1), 0)):
+        with pytest.raises(ValueError, match="no composition"):
+            kostka_q0_check(lam, max_len=cap)
+    assert kostka_q0_check((), max_len=0)
+    assert kostka_q0_check((1,), max_len=1)
+
+
 def test_charge_oracle():
     assert charge_oracle((1,), (1,)) == ONE
     assert charge_oracle((2,), (1, 1)) == T

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PHI, PHIBAR, d_basis_word, full_orbit_image, letter_chain
+from oracles import (
+    PHI, PHIBAR, bar_d_full, d_basis_word, full_orbit_image, letter_chain, rotate, z_chain)
 from qtkostka.coeffs import CoeffPoly, ONE, V, VINV, ZERO
 from qtkostka.compositions import all_markings, compositions_of, pad, partition_length, swap
 from qtkostka.macdonald import e_orbit, marked_orbit
@@ -94,24 +95,25 @@ def test_hi_inv_is_inverse():
 
 
 def test_omega_relations():
+    # omega is the letter Phi_n, and Phibar_n too
     x = ModuleElement.basis((2, 0, 1), 3)
-    assert x.omega() == ModuleElement.basis((0, 1, 3), 3)
+    assert x.letters(3, PHI) == x.letters(3, PHIBAR) == ModuleElement.basis((0, 1, 3), 3)
     # the rotation lowers Hecke indices: omega H_i = H_{i-1} omega
     for lam in compositions_of(2, 3):
         y = ModuleElement.basis(lam, 3)
-        assert y.hi(2).omega() == y.omega().hi(1), lam
+        assert y.hi(2).letters(3, PHI) == y.letters(3, PHI).hi(1), lam
 
 
 def test_operator_words():
     # Phi_m = H_m ... H_{n-1} omega applied right to left
     x = ModuleElement.basis((1,), 3)
-    assert x.letters(3, PHI) == x.omega()
-    assert x.letters(2, PHI) == x.omega().hi(2)
-    assert x.letters(1, PHI) == x.omega().hi(2).hi(1)
-    assert x.letters(2, PHIBAR) == x.omega().hi_inv(2)
+    assert x.letters(3, PHI) == rotate(x)
+    assert x.letters(2, PHI) == rotate(x).hi(2)
+    assert x.letters(1, PHI) == rotate(x).hi(2).hi(1)
+    assert x.letters(2, PHIBAR) == rotate(x).hi_inv(2)
     # Z_1 = H_1^{-1} ... H_{n-1}^{-1} omega
-    assert x.z_op(1) == x.omega().hi_inv(2).hi_inv(1)
-    assert x.z_op(2) == x.hi(1).omega().hi_inv(2)
+    assert x.z_op(1) == rotate(x).hi_inv(2).hi_inv(1)
+    assert x.z_op(2) == rotate(x.hi(1)).hi_inv(2)
 
 
 def _letter_inputs():
@@ -167,6 +169,45 @@ def test_letters_match_the_chain_oracle():
                 assert y.m == max(form.m, m) and y.element == want, (label, m)
             count += 1
     assert count > 10000
+
+
+def test_z_op_and_the_letter_at_the_rank_match_the_chain_oracles():
+    # Z_i as one Phibar letter after the generator chain, and omega as the
+    # letter Phi_n or Phibar_n, on full inputs and on orbit forms below the rank
+    count = 0
+    for label, x, form in _letter_inputs():
+        n = x.rank
+        if n > 6:
+            continue
+        want = rotate(x)
+        for y in (x,) if form is None else (x, form):
+            assert y.letters(n, PHI) == y.letters(n, PHIBAR) == want, label
+            for i in range(1, n + 1):
+                got = y.z_op(i)
+                assert type(got) is ModuleElement and got == z_chain(x, i), (label, i)
+                count += 1
+    assert count == 7377
+
+
+def _bar_d_inputs():
+    """KL, E~ and marked E~ of weight <= 3 at ranks <= 5, in orbit form."""
+    for n in range(2, 6):
+        for d in range(4):
+            for lam in compositions_of(d, min(n, 3)):
+                yield kl_element(lam, n)
+                yield e_orbit(lam, n)
+                for dg in all_markings(lam):
+                    yield marked_orbit(dg, n)
+
+
+def test_bar_d_in_the_orbit_basis_matches_the_full_basis_oracle():
+    count = 0
+    for x in _bar_d_inputs():
+        got = bar_d(x)
+        assert type(got) is ModuleElement and got.m == x.m, x
+        assert got == msym_expand(bar_d_full(x), x.m), x
+        count += 1
+    assert count == 522
 
 
 def test_orbit_images_match_the_full_orbit_walk():
@@ -447,17 +488,17 @@ def test_every_standard_basis_operation_below_the_rank_reads_the_expansion():
         y = ModuleElement.basis((1,), n).scale(T)
         pairs = [
             (x.element, full),
-            (x.omega(), full.omega()),
             (x + y, full + y), (y + x, y + full), (x - y, full - y), (y - x, y - full),
             (x.scale(Q), full.scale(Q)), (x.scale(ZERO), full.scale(ZERO)),
             (x.project(), full.project()),
-            (bar_d(x), bar_d(full)),
+            (bar_d(x).element, bar_d(full)),
         ]
         pairs += [(x.hi(i), full.hi(i)) for i in range(1, n)]
         pairs += [(x.hi_inv(i), full.hi_inv(i)) for i in range(1, n)]
         pairs += [(x.z_op(i), full.z_op(i)) for i in range(1, n + 1)]
         for got, want in pairs:
             assert type(got) is ModuleElement and got == want, x
+        assert bar_d(x).m == x.m
         assert x.to_json() == full.to_json() and x.pretty() == full.pretty()
         assert x.support() == full.support() and x
         for key in full.terms:

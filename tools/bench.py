@@ -31,9 +31,13 @@ PARENT_DIR and DIR on workload W in process, pair k with seed k and the side
 that runs first alternating.  Each child imports its checkout's src and
 perfbench/workloads.py and times the workload's run R times, each after
 clear_caches and with a fresh working directory; set-up, start-up and
-outputs stay outside the clock.  Per pair and side it prints the min and the median of the R times
-and the digest of the outputs, then the median over the pairs of the ratio
-of the mins, change/parent, with the pairs the change won.  Nothing is
+outputs stay outside the clock.  Per pair and side it prints the min and the
+median of the R times, the child's peak RSS (ru_maxrss in MB) after its
+first run and before any outputs are built, as perfbench's peak_rss_mb reads
+a cold repetition (the outputs of `macdonald` alone triple it), and the
+digest of the outputs, then
+the median over the pairs of the ratio of the mins, change/parent, with the
+pairs the change won, and the median peak RSS of each side.  Nothing is
 written.  The min of R reads changes smaller than the spread of perfbench's
 cold runs.  The exit code is 1 when the two sides of a pair, or two runs of
 one side, give different outputs digests.
@@ -193,13 +197,13 @@ def ab(parent, change, workloads, pairs, label):
 
 # one child of --inproc: argv is root, workload, reps and seed; prints one JSON line
 INPROC_CHILD = """
-import json, os, sys, tempfile, time
+import json, os, resource, sys, tempfile, time
 root, workload, reps, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 import qtkostka as Q
 import workloads
 prepare, run, outputs = workloads.WORKLOADS[workload]
-times, digests = [], set()
+times, digests, rss = [], set(), None
 for _ in range(reps):
     with tempfile.TemporaryDirectory() as work:
         spec = {"size": "full", "seed": seed, "workdir": work,
@@ -209,13 +213,16 @@ for _ in range(reps):
         t0 = time.perf_counter()
         produced = run(Q, inputs, {})
         times.append(time.perf_counter() - t0)
+        if rss is None:
+            # the first run's peak, before any outputs are built, as perfbench's child reads it
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         digests.add(workloads.canonical_digest(outputs(Q, inputs, produced)))
-print(json.dumps({"times": times, "digests": sorted(digests)}))
+print(json.dumps({"times": times, "digests": sorted(digests), "peak_rss_mb": rss}))
 """
 
 
 def inproc_side(root, workload, reps, seed):
-    """min, median and outputs digests of reps in-process runs of workload at root."""
+    """min, median, outputs digests and first-run peak RSS (MB) of reps in-process runs at root."""
     cmd = [sys.executable, "-c", INPROC_CHILD, root, workload, str(reps), str(seed)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -224,7 +231,7 @@ def inproc_side(root, workload, reps, seed):
                          % (workload, root, proc.returncode, proc.stderr[-400:]))
     out = json.loads(lines[-1])
     return {"min": min(out["times"]), "median": statistics.median(out["times"]),
-            "digests": out["digests"]}
+            "digests": out["digests"], "peak_rss_mb": out["peak_rss_mb"]}
 
 
 def inproc(parent, change, workload, pairs, reps):
@@ -243,20 +250,26 @@ def inproc(parent, change, workload, pairs, reps):
 
 def main_inproc(args):
     ratios = []
+    peaks = {"parent": [], "change": []}
     differ = 0
     for k, pair in enumerate(inproc(os.path.abspath(args.ab), os.path.abspath(args.root),
                                     args.inproc, args.pairs, args.reps), start=1):
         a, c = pair["parent"], pair["change"]
         ratios.append(c["min"] / a["min"])
+        peaks["parent"].append(a["peak_rss_mb"])
+        peaks["change"].append(c["peak_rss_mb"])
         same = len(a["digests"]) == 1 and a["digests"] == c["digests"]
         differ += not same
-        print("pair %d/%d %s: parent min %.4f median %.4f, change min %.4f median %.4f, "
-              "ratio %.3f, outputs %s" % (
-                  k, args.pairs, args.inproc, a["min"], a["median"], c["min"], c["median"],
-                  ratios[-1], a["digests"][0][:16] if same else "DIFFER"), flush=True)
+        print("pair %d/%d %s: parent min %.4f median %.4f peak %.2f MB, change min %.4f "
+              "median %.4f peak %.2f MB, ratio %.3f, outputs %s" % (
+                  k, args.pairs, args.inproc, a["min"], a["median"], a["peak_rss_mb"],
+                  c["min"], c["median"], c["peak_rss_mb"], ratios[-1],
+                  a["digests"][0][:16] if same else "DIFFER"), flush=True)
     wins = sum(1 for r in ratios if r < 1)
-    print("%s: %d pairs of %d runs, min ratio change/parent median %.3f, change won %d/%d, %s"
+    print("%s: %d pairs of %d runs, min ratio change/parent median %.3f, change won %d/%d, "
+          "peak RSS median parent %.2f MB change %.2f MB, %s"
           % (args.inproc, len(ratios), args.reps, statistics.median(ratios), wins, len(ratios),
+             statistics.median(peaks["parent"]), statistics.median(peaks["change"]),
              "outputs differ in %d pairs" % differ if differ else "same outputs"))
     return 1 if differ else 0
 
